@@ -3,6 +3,7 @@
 #include "spec/app_spec.h"
 #include "check/check.h"
 #include "core/harness.h"
+#include "exec/thread_pool.h"
 #include "sim/time.h"
 #include "stats/quantile.h"
 #include "stats/welch.h"
@@ -10,6 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <stdexcept>
+#include <vector>
 
 namespace ursa::core
 {
@@ -25,6 +29,9 @@ struct StepMeasurement
     double testedP99 = 0.0;
     double utilization = 0.0;
     BpAttribution attribution;
+    /// The redundant-measurement audit failed. It is raised only for
+    /// steps the sweep keeps, so a speculative step never raises it.
+    bool spanAuditFails = false;
 };
 
 /** Span ring capacity per step (bounds memory at full-rate steps). */
@@ -38,12 +45,12 @@ constexpr std::size_t kStepRingCapacity = 1u << 17;
  * pipelines, so their means must agree. Divergence means one of the
  * measurement paths lost or double-counted intervals.
  */
-BpAttribution
+void
 attributeStep(const IsolatedHarness &h, sim::SimTime warmup,
               sim::SimTime end, double metricsTestedMeanUs,
-              std::size_t metricsTestedCount)
+              std::size_t metricsTestedCount, StepMeasurement &m)
 {
-    BpAttribution attr;
+    BpAttribution &attr = m.attribution;
     const auto &tracer = h.cluster->tracer();
     const auto rows = trace::tierBreakdown(tracer.snapshot(), warmup, end);
     for (const trace::TierBreakdown &row : rows) {
@@ -65,15 +72,11 @@ attributeStep(const IsolatedHarness &h, sim::SimTime warmup,
                 metricsTestedCount >= 1000) {
                 const double tol =
                     0.25 * metricsTestedMeanUs + 1000.0;
-                URSA_CHECK(std::fabs(spanMean - metricsTestedMeanUs) <=
-                               tol,
-                           "core.bp_profiler",
-                           "span-derived tested-tier latency diverges "
-                           "from the windowed tierLatency metric");
+                m.spanAuditFails =
+                    !(std::fabs(spanMean - metricsTestedMeanUs) <= tol);
             }
         }
     }
-    return attr;
 }
 
 StepMeasurement
@@ -119,10 +122,9 @@ measureStep(const spec::AppSpec &app, int serviceIdx,
     m.proxyP99 = proxyAll.empty() ? 0.0 : proxyAll.percentile(99.0);
     m.testedP99 = testedAll.empty() ? 0.0 : testedAll.percentile(99.0);
     m.utilization = metrics.cpuUtilization(h.testedId, warmup, end);
-    if (opts.traceSampling > 0.0) {
-        m.attribution = attributeStep(h, warmup, end, testedAll.mean(),
-                                      testedAll.count());
-    }
+    if (opts.traceSampling > 0.0)
+        attributeStep(h, warmup, end, testedAll.mean(), testedAll.count(),
+                      m);
     return m;
 }
 
@@ -134,6 +136,19 @@ profileBackpressureThreshold(const spec::AppSpec &app, int serviceIdx,
                              std::uint64_t seed,
                              const BpProfilerOptions &opts)
 {
+    if (opts.maxSteps < 1)
+        throw std::invalid_argument(
+            "BpProfilerOptions::maxSteps must be >= 1");
+    if (!(opts.growthFactor > 1.0))
+        throw std::invalid_argument(
+            "BpProfilerOptions::growthFactor must be > 1");
+    if (opts.stepDuration <= 0)
+        throw std::invalid_argument(
+            "BpProfilerOptions::stepDuration must be positive");
+    if (opts.sampleWindow <= 0)
+        throw std::invalid_argument(
+            "BpProfilerOptions::sampleWindow must be positive");
+
     BpProfileResult res;
 
     // Estimate CPU demand analytically and scale the load so the sweep
@@ -154,22 +169,44 @@ profileBackpressureThreshold(const spec::AppSpec &app, int serviceIdx,
         r *= scale;
     demand *= scale;
 
-    StepMeasurement prev;
-    bool havePrev = false;
+    // The limit grows geometrically per step. Every step is an
+    // independent harness run seeded by its index and convergence reads
+    // only the pair (k-1, k), so the steps run step-parallel and the
+    // in-order pass below sees exactly the serial sweep (DESIGN.md §6).
+    const auto limitAt = [&](std::size_t k) {
+        return demand * opts.startFactor *
+               std::pow(opts.growthFactor, static_cast<double>(k));
+    };
+    const auto steps = static_cast<std::size_t>(opts.maxSteps);
+    std::vector<StepMeasurement> runs(steps);
+    // Written once per step by the stop rule, so the in-order pass
+    // below does not run the Welch test a second time.
+    std::vector<char> converged(steps, 0);
+    const std::size_t taken = exec::parallelSweep(
+        steps, 2,
+        [&](std::size_t k) {
+            runs[k] = measureStep(app, serviceIdx, rates, limitAt(k),
+                                  demand, seed + 1000 * (k + 1), opts);
+        },
+        [&](std::size_t k) {
+            converged[k] =
+                k > 0 && stats::meansEqual(runs[k - 1].proxyP99Samples,
+                                           runs[k].proxyP99Samples,
+                                           opts.alpha);
+            return converged[k] != 0;
+        });
+
     double prevUtil = 1.0;
-    for (int k = 0; k < opts.maxSteps; ++k) {
-        const double limit = demand * opts.startFactor *
-                             std::pow(opts.growthFactor, k);
-        const StepMeasurement cur = measureStep(
-            app, serviceIdx, rates, limit, demand,
-            seed + 1000 * (k + 1), opts);
-        res.steps.push_back({limit, cur.proxyP99, cur.testedP99,
+    for (std::size_t k = 0; k < taken; ++k) {
+        const StepMeasurement &cur = runs[k];
+        URSA_CHECK(!cur.spanAuditFails, "core.bp_profiler",
+                   "span-derived tested-tier latency diverges "
+                   "from the windowed tierLatency metric");
+        res.steps.push_back({limitAt(k), cur.proxyP99, cur.testedP99,
                              cur.utilization, cur.attribution});
         res.timeSpent += opts.stepDuration + opts.stepDuration / 4;
 
-        if (havePrev &&
-            stats::meansEqual(prev.proxyP99Samples, cur.proxyP99Samples,
-                              opts.alpha)) {
+        if (converged[k]) {
             // Proxy latency converged between the previous and current
             // limits: the utilization just before convergence is the
             // backpressure-free threshold. Measured utilization can
@@ -180,8 +217,6 @@ profileBackpressureThreshold(const spec::AppSpec &app, int serviceIdx,
             return res;
         }
         prevUtil = cur.utilization;
-        prev = cur;
-        havePrev = true;
     }
     // Never converged inside the sweep: be conservative and use the
     // last measured utilization (clamped to the (0, 1] contract).

@@ -111,7 +111,9 @@ struct BpProfilerOptions
 
 /**
  * Profile the backpressure-free threshold of `app.services[serviceIdx]`
- * under the given service-local per-class rates.
+ * under the given service-local per-class rates. Throws
+ * std::invalid_argument unless opts.maxSteps >= 1, growthFactor > 1,
+ * stepDuration > 0 and sampleWindow > 0.
  */
 BpProfileResult profileBackpressureThreshold(
     const spec::AppSpec &app, int serviceIdx,

@@ -12,10 +12,127 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace ursa::core
 {
+
+namespace
+{
+
+/** Simulated length of one level: a warm-up window plus the measured. */
+sim::SimTime
+levelSpanOf(const ExplorationOptions &opts)
+{
+    return opts.window + opts.window * opts.windowsPerLevel;
+}
+
+/** One Algorithm-1 step: the tested service at one replica count. */
+struct LevelRun
+{
+    /// Algorithm 1 terminates here, without recording the level.
+    bool stop = false;
+    LprLevel level; ///< unset when stop
+    /// Measured per-class arrival rate, kept for the LPR-bound audit.
+    std::vector<double> arrivalRate;
+};
+
+LevelRun
+runLevel(const spec::AppSpec &app, int serviceIdx, double bpThreshold,
+         const std::vector<double> &rates,
+         const std::vector<std::vector<double>> &slaVisits,
+         const PercentileGrid &grid, int replicas,
+         const ExplorationOptions &opts)
+{
+    const sim::SimTime warmup = opts.window;
+    const sim::SimTime levelSpan = levelSpanOf(opts);
+    IsolatedHarness h = makeIsolatedHarness(
+        app, serviceIdx, rates, replicas,
+        opts.seed + 7919ULL * (replicas + 1), 64, opts.window);
+    h.client->start(0);
+    h.cluster->run(levelSpan);
+
+    const auto &metrics = h.cluster->metrics();
+    const double util =
+        metrics.cpuUtilization(h.testedId, warmup, levelSpan);
+
+    // SLA-violation frequency: fraction of windows whose tested-
+    // service latency at the class's SLA percentile exceeds the
+    // full end-to-end target (a conservative per-service stop: if
+    // one service alone eats the budget, no feasible split exists).
+    int windows = 0, violating = 0;
+    for (std::size_t c = 0; c < app.classes.size(); ++c) {
+        if (rates[c] <= 0.0 || slaVisits[serviceIdx][c] <= 0.0)
+            continue;
+        const auto &agg = metrics.tierLatency(h.testedId,
+                                              static_cast<int>(c));
+        for (const auto &w : agg.windows()) {
+            if (w.start < warmup || w.samples.empty())
+                continue;
+            ++windows;
+            if (w.samples.percentile(app.classes[c].sla.percentile) >
+                static_cast<double>(app.classes[c].sla.targetUs))
+                ++violating;
+        }
+    }
+    const double violFreq =
+        windows ? static_cast<double>(violating) / windows : 0.0;
+
+    LevelRun run;
+    const bool bpStop = opts.enforceBpThreshold && util >= bpThreshold;
+    const bool unstable = util >= opts.maxUtilization;
+    run.stop =
+        bpStop || unstable || violFreq >= opts.slaViolationThreshold;
+    if (run.stop)
+        return run;
+
+    LprLevel &level = run.level;
+    level.replicas = replicas;
+    level.cpuUtilization = util;
+    level.loadPerReplica.assign(app.classes.size(), 0.0);
+    level.latency.assign(app.classes.size(), {});
+    run.arrivalRate.assign(app.classes.size(), 0.0);
+    for (std::size_t c = 0; c < app.classes.size(); ++c) {
+        if (rates[c] <= 0.0)
+            continue;
+        const double measured = metrics.arrivalRate(
+            h.testedId, static_cast<int>(c), warmup, levelSpan);
+        run.arrivalRate[c] = measured;
+        level.loadPerReplica[c] = measured / replicas;
+        const auto samples = metrics
+                                 .tierLatency(h.testedId,
+                                              static_cast<int>(c))
+                                 .collect(warmup, levelSpan);
+        level.latency[c].reserve(grid.size());
+        // A low-rate class can see zero arrivals within a short
+        // level span; record zero latency (no observed load, which
+        // matches loadPerReplica above) instead of throwing.
+        for (double p : grid)
+            level.latency[c].push_back(
+                samples.empty() ? 0.0 : samples.percentile(p));
+    }
+    return run;
+}
+
+} // namespace
+
+ExplorationController::ExplorationController(ExplorationOptions opts)
+    : opts_(std::move(opts))
+{
+    if (opts_.replicaStep < 1)
+        throw std::invalid_argument(
+            "ExplorationOptions::replicaStep must be >= 1");
+    if (opts_.windowsPerLevel < 1)
+        throw std::invalid_argument(
+            "ExplorationOptions::windowsPerLevel must be >= 1");
+    if (opts_.window <= 0)
+        throw std::invalid_argument(
+            "ExplorationOptions::window must be positive");
+}
 
 std::vector<double>
 ExplorationController::localRates(const spec::AppSpec &app,
@@ -70,7 +187,7 @@ ExplorationController::exploreService(const spec::AppSpec &app,
     if (demand <= 0.0)
         return profile; // unused service: nothing to explore
 
-    int replicas = std::max(
+    const int initialReplicas = std::max(
         1, static_cast<int>(std::ceil(
                demand / (svcCfg.cpuPerReplica * opts_.initialUtilization))));
 
@@ -79,65 +196,43 @@ ExplorationController::exploreService(const spec::AppSpec &app,
     // their async MQ/event side-branches).
     const auto slaVisits = computeSlaVisitCounts(app);
 
-    const sim::SimTime warmup = opts_.window;
-    const sim::SimTime levelSpan =
-        warmup + opts_.window * opts_.windowsPerLevel;
+    const sim::SimTime levelSpan = levelSpanOf(opts_);
 
-    while (replicas >= 1) {
-        IsolatedHarness h = makeIsolatedHarness(
-            app, serviceIdx, rates, replicas,
-            opts_.seed + 7919ULL * (replicas + 1), 64, opts_.window);
-        h.client->start(0);
-        h.cluster->run(levelSpan);
+    // Algorithm 1 steps the replica count down from initialReplicas to
+    // 1. Every step is an independent harness run seeded by its replica
+    // count and the stop rule reads that step alone, so the steps run
+    // step-parallel and the in-order pass below sees exactly the prefix
+    // the serial sweep would have measured (DESIGN.md §6).
+    const std::size_t candidates = static_cast<std::size_t>(
+        (initialReplicas - 1) / opts_.replicaStep + 1);
+    std::vector<LevelRun> runs(candidates);
+    const std::size_t taken = exec::parallelSweep(
+        candidates, 1,
+        [&](std::size_t i) {
+            const int replicas =
+                initialReplicas - static_cast<int>(i) * opts_.replicaStep;
+            runs[i] = runLevel(app, serviceIdx, bpThreshold, rates,
+                               slaVisits, grid, replicas, opts_);
+        },
+        [&](std::size_t i) { return runs[i].stop; });
+
+    for (std::size_t i = 0; i < taken; ++i) {
+        LevelRun &run = runs[i];
         profile.samples += opts_.windowsPerLevel;
         profile.exploreTime += levelSpan;
-
-        const auto &metrics = h.cluster->metrics();
-        const double util =
-            metrics.cpuUtilization(h.testedId, warmup, levelSpan);
-
-        // SLA-violation frequency: fraction of windows whose tested-
-        // service latency at the class's SLA percentile exceeds the
-        // full end-to-end target (a conservative per-service stop: if
-        // one service alone eats the budget, no feasible split exists).
-        int windows = 0, violating = 0;
-        for (std::size_t c = 0; c < app.classes.size(); ++c) {
-            if (rates[c] <= 0.0 || slaVisits[serviceIdx][c] <= 0.0)
-                continue;
-            const auto &agg = metrics.tierLatency(h.testedId,
-                                                  static_cast<int>(c));
-            for (const auto &w : agg.windows()) {
-                if (w.start < warmup || w.samples.empty())
-                    continue;
-                ++windows;
-                if (w.samples.percentile(app.classes[c].sla.percentile) >
-                    static_cast<double>(app.classes[c].sla.targetUs))
-                    ++violating;
-            }
-        }
-        const double violFreq =
-            windows ? static_cast<double>(violating) / windows : 0.0;
-
-        const bool bpStop =
-            opts_.enforceBpThreshold && util >= bpThreshold;
-        const bool unstable = util >= opts_.maxUtilization;
-        if (bpStop || unstable || violFreq >= opts_.slaViolationThreshold)
+        if (run.stop)
             break; // Algorithm 1: terminate without recording
 
-        // Record this LPR level.
+        // Record this LPR level. The audits run here, in sweep order,
+        // so a speculative step past the stop never raises one.
+        const double util = run.level.cpuUtilization;
         URSA_CHECK(std::isfinite(util) && util >= 0.0 && util <= 1.0 + 1e-9,
                    "core.explorer",
                    "measured CPU utilization outside [0, 1]");
-        LprLevel level;
-        level.replicas = replicas;
-        level.cpuUtilization = util;
-        level.loadPerReplica.assign(app.classes.size(), 0.0);
-        level.latency.assign(app.classes.size(), {});
         for (std::size_t c = 0; c < app.classes.size(); ++c) {
             if (rates[c] <= 0.0)
                 continue;
-            const double measured = metrics.arrivalRate(
-                h.testedId, static_cast<int>(c), warmup, levelSpan);
+            const double measured = run.arrivalRate[c];
             // LPR bound: the measured per-replica load must be finite,
             // non-negative and consistent with the offered rate (x2
             // covers Poisson noise on short levels; beyond that the
@@ -148,22 +243,8 @@ ExplorationController::exploreService(const spec::AppSpec &app,
             URSA_CHECK(measured <= rates[c] * 2.0 + 5.0, "core.explorer",
                        "LPR bound violation: measured load exceeds "
                        "the offered service-local rate");
-            level.loadPerReplica[c] = measured / replicas;
-            const auto samples = metrics
-                                     .tierLatency(h.testedId,
-                                                  static_cast<int>(c))
-                                     .collect(warmup, levelSpan);
-            level.latency[c].reserve(grid.size());
-            // A low-rate class can see zero arrivals within a short
-            // level span; record zero latency (no observed load, which
-            // matches loadPerReplica above) instead of throwing.
-            for (double p : grid)
-                level.latency[c].push_back(
-                    samples.empty() ? 0.0 : samples.percentile(p));
         }
-        profile.levels.push_back(std::move(level));
-
-        replicas -= opts_.replicaStep;
+        profile.levels.push_back(std::move(run.level));
     }
     return profile;
 }
@@ -171,14 +252,16 @@ ExplorationController::exploreService(const spec::AppSpec &app,
 AppProfile
 ExplorationController::exploreApp(const spec::AppSpec &app) const
 {
-    // Per-service explorations are embarrassingly parallel (Sec. VII-C:
-    // wall-clock time is the max, not the sum). Each index builds its
-    // own harness clusters with index-derived seeds, so the profile is
-    // bit-identical to the serial run for any URSA_THREADS. Shared
-    // captures (`app`, `profile.grid`, `this`) are read-only inside
-    // the lambda and each shard writes only its own result slot — the
-    // lock-free shape the thread-safety analysis layer expects of
-    // parallelMap bodies (see base/thread_annotations.h).
+    // Per-service explorations are embarrassingly parallel (Sec. VII-C),
+    // and each service's sweeps run their steps in parallel too: the
+    // nested parallelFor lets threads done with short services join
+    // the long sweeps. Each index builds its own harness clusters with
+    // index-derived seeds, so the profile is bit-identical to the
+    // serial run for any URSA_THREADS. Shared captures (`app`,
+    // `profile.grid`, `this`) are read-only inside the lambda and each
+    // shard writes only its own result slot — the lock-free shape the
+    // thread-safety analysis layer expects of parallelMap bodies (see
+    // base/thread_annotations.h).
     AppProfile profile;
     profile.services = exec::parallelMap<ServiceProfile>(
         app.services.size(), [&](std::size_t s) {

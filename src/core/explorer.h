@@ -61,10 +61,12 @@ struct ExplorationOptions
 class ExplorationController
 {
   public:
-    explicit ExplorationController(ExplorationOptions opts = {})
-        : opts_(opts)
-    {
-    }
+    /**
+     * Throws std::invalid_argument unless replicaStep >= 1,
+     * windowsPerLevel >= 1 and window > 0 (the sweep would otherwise
+     * never terminate or measure nothing).
+     */
+    explicit ExplorationController(ExplorationOptions opts = {});
 
     /**
      * Explore a single service given its backpressure-free threshold
@@ -79,8 +81,11 @@ class ExplorationController
      * Full pipeline for a new application: determine backpressure-free
      * thresholds for RPC services (MQ consumers need none — Sec. III
      * shows MQs do not propagate backpressure), then run Algorithm 1
-     * on every service. Per-service explorations are independent, so
-     * wall-clock time is the max, not the sum (Sec. VII-C).
+     * on every service. Per-service explorations are independent and
+     * run in parallel, and so do the steps of each service's two
+     * sweeps. The longest service's serial sweep time (the max over
+     * services of Sec. VII-C) is therefore an upper bound on the
+     * wall-clock cost when threads are plentiful, not the cost itself.
      */
     AppProfile exploreApp(const spec::AppSpec &app) const;
 

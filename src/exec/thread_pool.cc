@@ -2,10 +2,14 @@
 
 #include "base/mutex.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace ursa::exec
 {
@@ -197,6 +201,85 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body)
         st->cv.wait(st->mu);
     if (st->error)
         std::rethrow_exception(st->error);
+}
+
+namespace
+{
+
+/** Shared progress of one parallelSweep call. */
+struct SweepState
+{
+    explicit SweepState(std::size_t n) : stop(n), done(n, 0) {}
+
+    base::Mutex mu;
+    /// Lowest index known to end the serial sweep; n while none is.
+    std::size_t stop URSA_GUARDED_BY(mu);
+    /// What index `stop` threw, if it ended the sweep by throwing.
+    std::exception_ptr error URSA_GUARDED_BY(mu);
+    std::vector<char> done URSA_GUARDED_BY(mu);
+
+    /** Index i ends the sweep: its stop rule fired, or it threw `e`. */
+    void
+    endAt(std::size_t i, std::exception_ptr e) URSA_EXCLUDES(mu)
+    {
+        base::MutexLock lock(mu);
+        if (i < stop) {
+            stop = i;
+            error = std::move(e);
+        }
+    }
+};
+
+} // namespace
+
+std::size_t
+parallelSweep(std::size_t n, std::size_t span,
+              const std::function<void(std::size_t)> &step,
+              const std::function<bool(std::size_t)> &stopsAt)
+{
+    if (span == 0)
+        throw std::invalid_argument("parallelSweep: span must be >= 1");
+    SweepState st(n);
+    parallelFor(n, [&](std::size_t i) {
+        {
+            base::MutexLock lock(st.mu);
+            if (i > st.stop)
+                return; // the serial sweep never reaches this step
+        }
+        try {
+            step(i);
+        } catch (...) {
+            st.endAt(i, std::current_exception());
+            return;
+        }
+        // Stop rules whose window (j - span, j] this step completed. A
+        // failed step is never marked done, so no rule reads its slot.
+        std::vector<std::size_t> ready;
+        {
+            base::MutexLock lock(st.mu);
+            st.done[i] = 1;
+            for (std::size_t j = i; j < n && j < i + span; ++j) {
+                bool complete = true;
+                for (std::size_t q = j + 1 > span ? j + 1 - span : 0;
+                     q <= j; ++q)
+                    complete = complete && st.done[q];
+                if (complete)
+                    ready.push_back(j);
+            }
+        }
+        for (std::size_t j : ready) {
+            try {
+                if (stopsAt(j))
+                    st.endAt(j, nullptr);
+            } catch (...) {
+                st.endAt(j, std::current_exception());
+            }
+        }
+    });
+    base::MutexLock lock(st.mu);
+    if (st.error)
+        std::rethrow_exception(st.error);
+    return st.stop == n ? n : st.stop + 1;
 }
 
 } // namespace ursa::exec

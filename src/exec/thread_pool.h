@@ -83,6 +83,34 @@ void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &body);
 
 /**
+ * Step-parallel form of the serial sweep
+ *
+ *   for (i = 0; i < n; ++i) { step(i); if (stopsAt(i)) break; }
+ *
+ * for sweeps whose steps are independent parallel units (own state,
+ * index-derived seeds, results written to their own slot) and whose
+ * stop rule is a pure function of the last `span` steps: stopsAt(i)
+ * may read the results of steps (i - span, i] only. Steps run through
+ * one parallelFor, so indices are claimed in increasing order; an
+ * index past an already-observed stop is skipped, and each stop rule
+ * is evaluated at most once (exactly once for each step the serial
+ * loop completes), as soon as its window of steps has completed, on
+ * whichever thread completed it, concurrently with other steps and
+ * stop rules.
+ *
+ * Returns the serial loop's step count: the first stopping index + 1,
+ * or n. Steps [0, count) all ran; later slots may hold speculative
+ * results the caller must ignore. If the serial loop would have
+ * thrown, the same exception is rethrown (the one at the first step
+ * in index order); exceptions of speculative steps past the stop are
+ * dropped. With threadCount() == 1 this is exactly the serial loop.
+ * Throws std::invalid_argument when span == 0.
+ */
+std::size_t parallelSweep(std::size_t n, std::size_t span,
+                          const std::function<void(std::size_t)> &step,
+                          const std::function<bool(std::size_t)> &stopsAt);
+
+/**
  * Parallel map: out[i] = fn(i) for i in [0, n), same execution model
  * as parallelFor. T must be default-constructible and movable.
  */

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace
 {
 
@@ -195,6 +197,71 @@ TEST(Explorer, ReexploreReplacesOneService)
     ctl.reexploreService(app, worker, prof);
     EXPECT_FALSE(prof.services[worker].levels.empty());
     (void)before;
+}
+
+// Sweep options are validated at entry: each of these used to loop
+// forever, divide by zero or silently measure nothing.
+
+TEST(ExplorerOptions, RejectsZeroReplicaStep)
+{
+    auto opts = fastOptions();
+    opts.replicaStep = 0; // stepped the replica count by 0: never ended
+    EXPECT_THROW(ExplorationController{opts}, std::invalid_argument);
+}
+
+TEST(ExplorerOptions, RejectsZeroWindowsPerLevel)
+{
+    auto opts = fastOptions();
+    opts.windowsPerLevel = 0;
+    EXPECT_THROW(ExplorationController{opts}, std::invalid_argument);
+}
+
+TEST(ExplorerOptions, RejectsNonPositiveWindow)
+{
+    auto opts = fastOptions();
+    opts.window = 0;
+    EXPECT_THROW(ExplorationController{opts}, std::invalid_argument);
+}
+
+/** Profile the toy worker with one option overridden. */
+template <typename Tweak>
+void
+profileWorkerWith(Tweak tweak)
+{
+    const auto app = tests::makeToyApp();
+    BpProfilerOptions opts = fastOptions().bpOptions;
+    tweak(opts);
+    profileBackpressureThreshold(app, app.serviceIndex("worker"),
+                                 {80.0, 0.0}, 11, opts);
+}
+
+TEST(BpProfilerOptions, RejectsNonPositiveMaxSteps)
+{
+    // Used to return threshold 1.0 with no steps, silently.
+    EXPECT_THROW(profileWorkerWith(
+                     [](BpProfilerOptions &o) { o.maxSteps = 0; }),
+                 std::invalid_argument);
+}
+
+TEST(BpProfilerOptions, RejectsGrowthFactorNotAboveOne)
+{
+    EXPECT_THROW(profileWorkerWith(
+                     [](BpProfilerOptions &o) { o.growthFactor = 1.0; }),
+                 std::invalid_argument);
+}
+
+TEST(BpProfilerOptions, RejectsNonPositiveStepDuration)
+{
+    EXPECT_THROW(profileWorkerWith(
+                     [](BpProfilerOptions &o) { o.stepDuration = 0; }),
+                 std::invalid_argument);
+}
+
+TEST(BpProfilerOptions, RejectsNonPositiveSampleWindow)
+{
+    EXPECT_THROW(profileWorkerWith(
+                     [](BpProfilerOptions &o) { o.sampleWindow = 0; }),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -101,6 +105,23 @@ TEST_F(ThreadPoolTest, NestedLoopsDoNotDeadlock)
     EXPECT_EQ(total.load(), 64);
 }
 
+TEST_F(ThreadPoolTest, NestedInnerLoopSpreadsAcrossThreads)
+{
+    // The step-parallel sweeps rely on this: a body of an outer loop
+    // that runs an inner loop gets its inner indices spread over the
+    // pool, not run serially on the thread that owns the outer index.
+    setThreadCount(4);
+    std::vector<std::thread::id> ranOn(64);
+    parallelFor(1, [&](std::size_t) {
+        parallelFor(ranOn.size(), [&](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            ranOn[i] = std::this_thread::get_id();
+        });
+    });
+    const std::set<std::thread::id> threads(ranOn.begin(), ranOn.end());
+    EXPECT_GT(threads.size(), 1u);
+}
+
 TEST_F(ThreadPoolTest, MoreIndicesThanThreadsBalances)
 {
     setThreadCount(2);
@@ -151,6 +172,93 @@ TEST_F(ThreadPoolTest, EnsureWorkersDuringShutdownDoesNotRace)
             std::this_thread::yield();
         pool.reset(); // join while the task may still be growing
     }
+}
+
+/**
+ * The serial sweep parallelSweep must reproduce: run steps in order,
+ * stop after the first index whose rule fires.
+ */
+std::size_t
+serialSweep(std::size_t n, const std::function<bool(std::size_t)> &stopsAt)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (stopsAt(i))
+            return i + 1;
+    return n;
+}
+
+TEST_F(ThreadPoolTest, SweepRunsTheSerialPrefix)
+{
+    // Stop rule over the pair (i-1, i), like the Welch convergence
+    // test. With v(i) = 7i mod 11 the first pair summing to 12 is
+    // (8, 9), so n = 40 stops after 10 steps and n <= 9 never stops.
+    const auto value = [](std::size_t i) { return (i * 7) % 11; };
+    for (std::size_t n : {1u, 2u, 9u, 40u}) {
+        for (int threads : {1, 3, 8}) {
+            setThreadCount(threads);
+            std::vector<std::atomic<int>> ran(n);
+            std::vector<std::size_t> slot(n, 0);
+            const auto stops = [&](std::size_t i) {
+                return i > 0 && slot[i - 1] + slot[i] == 12;
+            };
+            const std::size_t taken = ursa::exec::parallelSweep(
+                n, 2,
+                [&](std::size_t i) {
+                    ran[i].fetch_add(1);
+                    slot[i] = value(i);
+                },
+                stops);
+            const std::size_t expected = serialSweep(n, [&](std::size_t i) {
+                return i > 0 && value(i - 1) + value(i) == 12;
+            });
+            EXPECT_EQ(taken, expected) << "n=" << n << " threads=" << threads;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (i < taken)
+                    EXPECT_EQ(ran[i].load(), 1) << "i=" << i;
+                else
+                    EXPECT_LE(ran[i].load(), 1) << "i=" << i;
+            }
+            if (threads == 1) {
+                // Serially, no step past the stop runs at all.
+                for (std::size_t i = taken; i < n; ++i)
+                    EXPECT_EQ(ran[i].load(), 0) << "i=" << i;
+            }
+        }
+    }
+}
+
+TEST_F(ThreadPoolTest, SweepRethrowsOnlyWhatTheSerialLoopWould)
+{
+    for (int threads : {1, 3, 8}) {
+        setThreadCount(threads);
+        // A step past the stop throws: the serial loop never runs it.
+        EXPECT_EQ(ursa::exec::parallelSweep(
+                      20, 1,
+                      [](std::size_t i) {
+                          if (i >= 5)
+                              throw std::runtime_error("speculative");
+                      },
+                      [](std::size_t i) { return i == 3; }),
+                  4u);
+        // A step before the stop throws: the first one in index order
+        // is rethrown, whichever thread hit its exception first.
+        try {
+            ursa::exec::parallelSweep(
+                20, 1,
+                [](std::size_t i) {
+                    if (i == 6 || i == 9)
+                        throw std::runtime_error(std::to_string(i));
+                },
+                [](std::size_t i) { return i == 15; });
+            ADD_FAILURE() << "no exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "6");
+        }
+    }
+    EXPECT_THROW(ursa::exec::parallelSweep(
+                     3, 0, [](std::size_t) {},
+                     [](std::size_t) { return false; }),
+                 std::invalid_argument);
 }
 
 } // namespace
