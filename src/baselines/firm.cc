@@ -31,8 +31,37 @@ FirmController::attach(sim::Cluster &cluster)
     cluster_ = &cluster;
 }
 
+std::vector<std::optional<double>>
+FirmController::classLatencies() const
+{
+    const sim::SimTime now = cluster_->events().now();
+    const sim::SimTime from =
+        std::max<sim::SimTime>(0, now - 2 * cfg_.interval);
+    std::vector<std::optional<double>> out(cluster_->numClasses());
+    for (int c = 0; c < cluster_->numClasses(); ++c) {
+        const auto e2e = cluster_->metrics().endToEnd(c).collect(from, now);
+        if (!e2e.empty())
+            out[c] = e2e.percentile(app_.classes[c].sla.percentile);
+    }
+    return out;
+}
+
+double
+FirmController::latencyPressure(
+    const std::vector<std::optional<double>> &latency) const
+{
+    double pressure = 0.0;
+    for (std::size_t c = 0; c < latency.size(); ++c) {
+        if (latency[c])
+            pressure = std::max(
+                pressure, *latency[c] / static_cast<double>(
+                                            app_.classes[c].sla.targetUs));
+    }
+    return pressure;
+}
+
 std::vector<double>
-FirmController::serviceState(sim::ServiceId s) const
+FirmController::serviceState(sim::ServiceId s, double pressure) const
 {
     const sim::SimTime now = cluster_->events().now();
     const sim::SimTime from =
@@ -40,19 +69,9 @@ FirmController::serviceState(sim::ServiceId s) const
     const auto &m = cluster_->metrics();
 
     const double util = m.cpuUtilization(s, from, now);
-    // Worst latency pressure among classes passing through s.
-    double pressure = 0.0;
     double load = 0.0;
-    for (int c = 0; c < cluster_->numClasses(); ++c) {
+    for (int c = 0; c < cluster_->numClasses(); ++c)
         load += m.arrivalRate(s, c, from, now);
-        const auto e2e = m.endToEnd(c).collect(from, now);
-        if (e2e.empty())
-            continue;
-        const auto &sla = app_.classes[c].sla;
-        pressure = std::max(
-            pressure, e2e.percentile(sla.percentile) /
-                          static_cast<double>(sla.targetUs));
-    }
     const double replicas =
         static_cast<double>(cluster_->service(s).activeReplicas()) /
         static_cast<double>(cfg_.maxReplicas);
@@ -111,9 +130,12 @@ FirmController::trainOnline(int steps)
             cluster_->service(throttled).setCpuFactor(cfg_.anomalyFactor);
         }
 
+        // applyAction records no end-to-end samples, so one pressure
+        // read serves every agent of the round.
+        const double pressure = latencyPressure(classLatencies());
         for (std::size_t s = 0; s < agents_.size(); ++s) {
             prevState[s] =
-                serviceState(static_cast<sim::ServiceId>(s));
+                serviceState(static_cast<sim::ServiceId>(s), pressure);
             prevAction[s] = agents_[s]->act(prevState[s], true);
             applyAction(static_cast<sim::ServiceId>(s), prevAction[s]);
         }
@@ -121,9 +143,10 @@ FirmController::trainOnline(int steps)
         cluster_->run(cluster_->events().now() + cfg_.interval);
         const double r = reward();
 
+        const double nextPressure = latencyPressure(classLatencies());
         for (std::size_t s = 0; s < agents_.size(); ++s) {
-            const auto next =
-                serviceState(static_cast<sim::ServiceId>(s));
+            const auto next = serviceState(static_cast<sim::ServiceId>(s),
+                                           nextPressure);
             agents_[s]->observe({prevState[s], prevAction[s], r, next});
             const auto wallStart = std::chrono::steady_clock::now();
             agents_[s]->trainStep();
@@ -159,15 +182,21 @@ FirmController::deployTick()
     const sim::SimTime now = cluster_->events().now();
     const sim::SimTime from =
         std::max<sim::SimTime>(0, now - 2 * cfg_.interval);
+    // The round's shared latency read is part of every agent's
+    // decision: charge it to the round's samples in equal shares.
+    const auto roundStart = std::chrono::steady_clock::now();
+    const auto latency = classLatencies();
+    const double pressure = latencyPressure(latency);
+    const double sharedUs =
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - roundStart)
+            .count() /
+        static_cast<double>(agents_.size());
     std::vector<bool> onViolatingPath(agents_.size(), false);
     std::vector<bool> forceUp(agents_.size(), false);
     for (int c = 0; c < cluster_->numClasses(); ++c) {
-        const auto e2e = cluster_->metrics().endToEnd(c).collect(from, now);
-        if (e2e.empty())
-            continue;
-        const auto &sla = app_.classes[c].sla;
-        if (e2e.percentile(sla.percentile) <=
-            static_cast<double>(sla.targetUs))
+        if (!latency[c] ||
+            *latency[c] <= static_cast<double>(app_.classes[c].sla.targetUs))
             continue;
         double worstUtil = -1.0;
         std::size_t culprit = 0;
@@ -189,7 +218,8 @@ FirmController::deployTick()
         cfg_.actions.begin());
     for (std::size_t s = 0; s < agents_.size(); ++s) {
         const auto wallStart = std::chrono::steady_clock::now();
-        const auto state = serviceState(static_cast<sim::ServiceId>(s));
+        const auto state =
+            serviceState(static_cast<sim::ServiceId>(s), pressure);
         int action = agents_[s]->act(state, /*explore=*/false);
         if (forceUp[s]) {
             action = upIdx;
@@ -202,7 +232,8 @@ FirmController::deployTick()
         decisionLatency_.add(std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() -
                                  wallStart)
-                                 .count());
+                                 .count() +
+                             sharedUs);
         applyAction(static_cast<sim::ServiceId>(s), action);
     }
     cluster_->events().scheduleIn(cfg_.interval, [this] { deployTick(); });

@@ -24,6 +24,7 @@
 #include "stats/rng.h"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace ursa::baselines
@@ -97,7 +98,18 @@ class FirmController
     int trainingSteps() const { return trainingSteps_; }
 
   private:
-    std::vector<double> serviceState(sim::ServiceId s) const;
+    /**
+     * Each class's end-to-end latency at its SLA percentile over the
+     * last two intervals (empty where the class completed nothing).
+     * Every agent of a round reads the same range at the same sim
+     * time, so one read serves the whole round.
+     */
+    std::vector<std::optional<double>> classLatencies() const;
+    /** Worst latency/SLA ratio among `latency`'s classes. */
+    double latencyPressure(
+        const std::vector<std::optional<double>> &latency) const;
+    std::vector<double> serviceState(sim::ServiceId s,
+                                     double pressure) const;
     double reward() const;
     int applyAction(sim::ServiceId s, int actionIdx);
     void deployTick();

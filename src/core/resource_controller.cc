@@ -51,8 +51,8 @@ ResourceController::tick()
                                      now, static_cast<std::size_t>(
                                               opts_.historyWindows));
         stats::OnlineStats load;
-        for (const auto *w : windows)
-            load.add(static_cast<double>(w->stats.count()) / windowSec);
+        for (const auto &w : windows)
+            load.add(static_cast<double>(w.count) / windowSec);
         if (load.count() == 0)
             continue;
 

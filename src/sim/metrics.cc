@@ -67,7 +67,7 @@ void
 MetricsRegistry::recordArrival(ServiceId s, ClassId c, SimTime at)
 {
     checkIds(s, c);
-    stage({at, 0, s, c, PendingRec::Kind::Arrival});
+    services_.at(s).arrivals[c].add(at);
 }
 
 void
@@ -93,11 +93,6 @@ MetricsRegistry::applyPending()
             }
             break;
         }
-        case PendingRec::Kind::Arrival:
-            services_.at(rec.service)
-                .arrivals.at(rec.classId)
-                .add(rec.at, 1.0);
-            break;
         }
     }
     pending_.clear();
@@ -139,10 +134,9 @@ MetricsRegistry::endToEnd(ClassId c) const
     return classes_.at(c).e2e;
 }
 
-const stats::WindowAggregator &
+const stats::WindowCounter &
 MetricsRegistry::arrivals(ServiceId s, ClassId c) const
 {
-    flushPending();
     return services_.at(s).arrivals.at(c);
 }
 
@@ -150,7 +144,6 @@ double
 MetricsRegistry::arrivalRate(ServiceId s, ClassId c, SimTime from,
                              SimTime to) const
 {
-    flushPending();
     if (to <= from)
         return 0.0;
     // Edge windows overlap the range only partially; counting them in
@@ -162,7 +155,7 @@ MetricsRegistry::arrivalRate(ServiceId s, ClassId c, SimTime from,
             std::min(to, w.start + window_) - std::max(from, w.start);
         if (overlap <= 0)
             continue;
-        count += static_cast<double>(w.stats.count()) *
+        count += static_cast<double>(w.count) *
                  static_cast<double>(overlap) /
                  static_cast<double>(window_);
     }

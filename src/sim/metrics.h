@@ -26,16 +26,17 @@ namespace ursa::sim
 /**
  * Central, windowed metrics store for one cluster.
  *
- * The per-event recording calls (tier latency, end-to-end, arrival —
- * several per simulated request) are the hot path: each lands in a
- * windowed aggregator behind two bounds-checked lookups plus, for
- * end-to-end records, a per-window map probe. To keep the dispatch
- * loop lean they are staged into a small POD buffer and applied in
- * order at batch boundaries: when the buffer fills, at every busy-
- * sample tick, and lazily before any query reads an aggregate. The
- * flush preserves recording order exactly, so every aggregate (and
- * every reservoir-sampling RNG draw) is bit-identical to unbatched
- * recording — batching moves work, it never changes results.
+ * Arrivals are counted straight into per-window counters. The per-
+ * event latency records (tier latency and end-to-end — several per
+ * simulated request) each land in a windowed aggregator behind two
+ * bounds-checked lookups plus, for end-to-end records, a per-window map
+ * probe. To keep the dispatch loop lean those two are staged into a
+ * small POD buffer and applied in order at batch boundaries: when the
+ * buffer fills, at every busy-sample tick, and lazily before any query
+ * reads an aggregate. The flush preserves recording order exactly, so
+ * every aggregate (and every reservoir-sampling RNG draw) is bit-
+ * identical to unbatched recording — batching moves work, it never
+ * changes results.
  */
 class MetricsRegistry
 {
@@ -84,7 +85,7 @@ class MetricsRegistry
     const stats::WindowAggregator &endToEnd(ClassId c) const;
 
     /** Arrival-count windows for (service, class). */
-    const stats::WindowAggregator &arrivals(ServiceId s, ClassId c) const;
+    const stats::WindowCounter &arrivals(ServiceId s, ClassId c) const;
 
     /** Arrivals per second of class `c` at service `s` over [from,to). */
     double arrivalRate(ServiceId s, ClassId c, SimTime from,
@@ -149,7 +150,7 @@ class MetricsRegistry
     {
         std::string name;
         std::vector<stats::WindowAggregator> tierLat; ///< per class
-        std::vector<stats::WindowAggregator> arrivals; ///< per class
+        std::vector<stats::WindowCounter> arrivals;   ///< per class
         stats::TimeSeries busy;       ///< cumulative busy core-us samples
         stats::TimeSeries allocation; ///< allocated cores (step series)
         stats::TimeSeries replicas;
@@ -157,18 +158,17 @@ class MetricsRegistry
 
     void growClassVectors();
 
-    /// One staged hot-path record (recording order == buffer order).
+    /// One staged latency record (recording order == buffer order).
     struct PendingRec
     {
         SimTime at;
-        SimTime lat;       ///< unused for Arrival
+        SimTime lat;
         ServiceId service; ///< unused for EndToEnd
         ClassId classId;
         enum class Kind : std::uint8_t
         {
             TierLatency,
             EndToEnd,
-            Arrival,
         } kind;
     };
     /// Flush threshold: ~6 KiB of staged records, small enough to stay

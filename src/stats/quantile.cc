@@ -39,6 +39,32 @@ interpolatedPercentile(const std::vector<double> &sorted, double p)
     return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+/**
+ * interpolatedPercentile of `values` once sorted, without sorting: the
+ * type-7 value needs only the order statistics at floor(rank) and
+ * ceil(rank). nth_element places the first; the second is the minimum
+ * of the part above it. Same operands, same formula, so the result is
+ * the same double bit for bit. Reorders `values`.
+ */
+double
+selectedPercentile(std::vector<double> &values, double p)
+{
+    if (p <= 0.0)
+        return *std::min_element(values.begin(), values.end());
+    if (p >= 100.0)
+        return *std::max_element(values.begin(), values.end());
+    const double rank = p / 100.0 * (static_cast<double>(values.size()) - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    const auto loIt = values.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(values.begin(), loIt, values.end());
+    const double atLo = *loIt;
+    const double atHi =
+        hi == lo ? atLo : *std::min_element(loIt + 1, values.end());
+    return atLo + frac * (atHi - atLo);
+}
+
 } // namespace
 
 SampleSet::SampleSet(std::size_t capacity, std::uint64_t seed)
@@ -69,17 +95,22 @@ SampleSet::add(double x)
         if (slot < capacity_)
             samples_[slot] = x;
     }
-    sortedValid_ = false;
+    cacheValid_ = false;
 }
 
 void
-SampleSet::ensureSorted() const
+SampleSet::add(std::span<const double> xs)
 {
-    if (sortedValid_)
+    // An unbounded, untracked set (what collect() builds) keeps every
+    // sample as is; otherwise each sample needs add()'s bookkeeping.
+    if (capacity_ != 0 || trackAbove_) {
+        for (double x : xs)
+            add(x);
         return;
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sortedValid_ = true;
+    }
+    samples_.insert(samples_.end(), xs.begin(), xs.end());
+    observed_ += xs.size();
+    cacheValid_ = false;
 }
 
 double
@@ -87,17 +118,29 @@ SampleSet::percentile(double p) const
 {
     if (samples_.empty())
         throw std::logic_error("percentile of empty SampleSet");
-    ensureSorted();
-    return interpolatedPercentile(sorted_, p);
+    if (cacheValid_ && cachedP_ == p)
+        return cachedValue_;
+    // Selection reorders its input, and samples_' order feeds the
+    // reservoir's replacement slots: work on a per-thread scratch copy.
+    thread_local std::vector<double> scratch;
+    scratch.assign(samples_.begin(), samples_.end());
+    cachedValue_ = selectedPercentile(scratch, p);
+    cachedP_ = p;
+    cacheValid_ = true;
+    return cachedValue_;
 }
 
 std::vector<double>
 SampleSet::percentiles(const std::vector<double> &ps) const
 {
+    if (samples_.empty())
+        throw std::logic_error("percentile of empty SampleSet");
+    std::vector<double> sorted = samples_;
+    std::sort(sorted.begin(), sorted.end());
     std::vector<double> out;
     out.reserve(ps.size());
     for (double p : ps)
-        out.push_back(percentile(p));
+        out.push_back(interpolatedPercentile(sorted, p));
     return out;
 }
 
@@ -135,8 +178,7 @@ SampleSet::reset()
     observed_ = 0;
     aboveCount_ = 0;
     samples_.clear();
-    sorted_.clear();
-    sortedValid_ = false;
+    cacheValid_ = false;
 }
 
 void
@@ -165,7 +207,7 @@ SampleSet::merge(const SampleSet &other)
             aboveCount_ += above * otherObserved / other.samples_.size();
         }
     }
-    sortedValid_ = false;
+    cacheValid_ = false;
 
     // Reservoir union. Each retained sample stands for observed/retained
     // observations of its source stream; feeding the other set through

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ursa::stats
@@ -39,6 +40,9 @@ class SampleSet
     /** Record one sample. */
     void add(double x);
 
+    /** Record each of `xs` in order; same result as one add() each. */
+    void add(std::span<const double> xs);
+
     /** Number of samples *observed* (not merely retained). */
     std::size_t count() const { return observed_; }
 
@@ -47,11 +51,14 @@ class SampleSet
 
     /**
      * Percentile in [0, 100]. Requires at least one sample.
-     * Linear interpolation between closest ranks.
+     * Linear interpolation between closest ranks, computed by selecting
+     * the two bracketing order statistics (no full sort). The last
+     * (p, value) pair is cached until the next add, merge or reset.
      */
     double percentile(double p) const;
 
-    /** Convenience: several percentiles at once (single sort). */
+    /** Several percentiles at once (single sort); prefer this to
+     * repeated percentile() calls for more than one p. */
     std::vector<double> percentiles(const std::vector<double> &ps) const;
 
     /** Mean of retained samples. */
@@ -80,8 +87,6 @@ class SampleSet
     void merge(const SampleSet &other);
 
   private:
-    void ensureSorted() const;
-
     std::size_t capacity_;
     std::size_t observed_ = 0;
     std::size_t aboveCount_ = 0;
@@ -89,8 +94,9 @@ class SampleSet
     bool trackAbove_ = false;
     std::uint64_t rngState_;
     std::vector<double> samples_;
-    mutable std::vector<double> sorted_;
-    mutable bool sortedValid_ = false;
+    mutable double cachedP_ = 0.0;
+    mutable double cachedValue_ = 0.0;
+    mutable bool cacheValid_ = false;
 
   public:
     /**

@@ -4,10 +4,26 @@
 #include "stats/quantile.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace ursa::stats
 {
+
+namespace
+{
+
+/** Start of the `width`-wide window covering `time` (floor division). */
+std::int64_t
+windowStart(std::int64_t time, std::int64_t width)
+{
+    std::int64_t q = time / width;
+    if (time < 0 && time % width != 0)
+        --q;
+    return q * width;
+}
+
+} // namespace
 
 void
 TimeSeries::append(std::int64_t time, double value)
@@ -79,19 +95,10 @@ WindowAggregator::WindowAggregator(std::int64_t width,
                "window aggregator with a non-positive width");
 }
 
-std::int64_t
-WindowAggregator::windowStart(std::int64_t time) const
-{
-    std::int64_t q = time / width_;
-    if (time < 0 && time % width_ != 0)
-        --q;
-    return q * width_;
-}
-
 void
 WindowAggregator::add(std::int64_t time, double value)
 {
-    const std::int64_t start = windowStart(time);
+    const std::int64_t start = windowStart(time, width_);
     if (windows_.empty() || windows_.back().start < start) {
         windows_.emplace_back(start, sampleCapacity_);
     } else if (windows_.back().start > start) {
@@ -105,7 +112,7 @@ WindowAggregator::add(std::int64_t time, double value)
 const WindowAggregator::Window *
 WindowAggregator::windowAt(std::int64_t time) const
 {
-    const std::int64_t start = windowStart(time);
+    const std::int64_t start = windowStart(time, width_);
     const auto it = std::lower_bound(
         windows_.begin(), windows_.end(), start,
         [](const Window &w, std::int64_t s) { return w.start < s; });
@@ -118,7 +125,7 @@ std::vector<const WindowAggregator::Window *>
 WindowAggregator::lastWindowsBefore(std::int64_t time, std::size_t n) const
 {
     std::vector<const Window *> out;
-    const std::int64_t cutoff = windowStart(time);
+    const std::int64_t cutoff = windowStart(time, width_);
     for (auto it = windows_.rbegin(); it != windows_.rend() && out.size() < n;
          ++it) {
         if (it->start < cutoff)
@@ -135,10 +142,38 @@ WindowAggregator::collect(std::int64_t from, std::int64_t to) const
     for (const Window &w : windows_) {
         if (w.start + width_ <= from || w.start >= to)
             continue;
-        for (double v : w.samples.samples())
-            out.add(v);
+        out.add(w.samples.samples());
     }
     return out;
+}
+
+WindowCounter::WindowCounter(std::int64_t width) : width_(width)
+{
+    URSA_CHECK(width_ > 0, "stats.timeseries",
+               "window counter with a non-positive width");
+}
+
+void
+WindowCounter::add(std::int64_t time)
+{
+    const std::int64_t start = windowStart(time, width_);
+    if (windows_.empty() || windows_.back().start < start) {
+        windows_.push_back({start, 0});
+    } else if (windows_.back().start > start) {
+        throw std::logic_error("WindowCounter: time moved backwards");
+    }
+    ++windows_.back().count;
+}
+
+std::vector<WindowCounter::Window>
+WindowCounter::lastWindowsBefore(std::int64_t time, std::size_t n) const
+{
+    const std::int64_t cutoff = windowStart(time, width_);
+    auto end = windows_.end();
+    while (end != windows_.begin() && std::prev(end)->start >= cutoff)
+        --end;
+    const auto have = static_cast<std::size_t>(end - windows_.begin());
+    return {end - static_cast<std::ptrdiff_t>(std::min(n, have)), end};
 }
 
 } // namespace ursa::stats

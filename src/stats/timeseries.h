@@ -1,8 +1,9 @@
 /**
  * @file
- * Time-indexed metric containers: an append-only point series and a
- * fixed-width window aggregator. Together with SampleSet these form the
- * storage layer of the tracing substrate (the Prometheus stand-in).
+ * Time-indexed metric containers: an append-only point series, a
+ * fixed-width window aggregator and a fixed-width window counter.
+ * Together with SampleSet these form the storage layer of the tracing
+ * substrate (the Prometheus stand-in).
  */
 
 #ifndef URSA_STATS_TIMESERIES_H
@@ -110,11 +111,47 @@ class WindowAggregator
     SampleSet collect(std::int64_t from, std::int64_t to) const;
 
   private:
-    std::int64_t windowStart(std::int64_t time) const;
-
     std::int64_t width_;
     std::size_t sampleCapacity_;
     std::deque<Window> windows_;
+};
+
+/**
+ * Fixed-width tumbling-window event counter: the count-only sibling of
+ * WindowAggregator for streams whose readers need nothing but how many
+ * events fell in each window (request arrivals). Same window rules: a
+ * window exists once something is counted into it, and time must not
+ * move backwards.
+ */
+class WindowCounter
+{
+  public:
+    /** Per-window count. */
+    struct Window
+    {
+        std::int64_t start = 0;
+        std::uint64_t count = 0;
+    };
+
+    /** @param width Window width in the caller's time unit (>0). */
+    explicit WindowCounter(std::int64_t width);
+
+    /** Count one event at `time`. */
+    void add(std::int64_t time);
+
+    /** All windows in chronological order. */
+    const std::vector<Window> &windows() const { return windows_; }
+
+    /**
+     * The last `n` windows strictly before the one covering `time`
+     * (most recent last); fewer are returned if history is shorter.
+     */
+    std::vector<Window> lastWindowsBefore(std::int64_t time,
+                                          std::size_t n) const;
+
+  private:
+    std::int64_t width_;
+    std::vector<Window> windows_;
 };
 
 } // namespace ursa::stats

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace
 {
 
@@ -65,6 +67,30 @@ TEST(Firm, DeployTickActsOnEveryService)
               static_cast<std::size_t>(3 * 5 * 60 / 15));
     for (ServiceId s = 0; s < f.cluster.numServices(); ++s)
         EXPECT_GE(f.cluster.service(s).activeReplicas(), 1);
+}
+
+// Pins what Firm learns and does on the toy app at a fixed seed: the
+// replica vector after online training, then after the next deployed
+// decision round (one action per service). Every input the agents read
+// (latency pressure, utilization, load) feeds these, so a change in how
+// the metrics are recorded or queried that moves any state shows here.
+TEST(Firm, TrainedReplicasAndNextDecisionArePinned)
+{
+    Fixture f;
+    FirmController firm(f.cluster, f.app, fastConfig());
+    const auto replicas = [&f] {
+        std::vector<int> out;
+        for (ServiceId s = 0; s < f.cluster.numServices(); ++s)
+            out.push_back(f.cluster.service(s).activeReplicas());
+        return out;
+    };
+    firm.trainOnline(40);
+    EXPECT_EQ(replicas(), (std::vector<int>{7, 18, 5}));
+    const SimTime now = f.cluster.events().now();
+    firm.start(now);
+    f.cluster.run(now + kSec); // exactly one decision round
+    EXPECT_EQ(firm.decisionLatencyUs().count(), 3u);
+    EXPECT_EQ(replicas(), (std::vector<int>{7, 20, 7}));
 }
 
 TEST(Firm, AnomalyInjectionIsReverted)

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace
@@ -224,6 +226,133 @@ TEST(SampleSetProperty, AgreesWithVectorHelper)
         }
         for (double p : {1.0, 25.0, 50.0, 75.0, 99.0})
             EXPECT_DOUBLE_EQ(s.percentile(p), percentileOf(v, p));
+    }
+}
+
+// Selection must give the sort-based type-7 value bit for bit, so the
+// comparisons below are EXPECT_EQ, not EXPECT_DOUBLE_EQ.
+std::vector<double>
+probePercentiles(Rng &r)
+{
+    std::vector<double> ps = {0.0, 0.1, 50.0, 99.0, 99.9, 100.0};
+    for (int i = 0; i < 8; ++i)
+        ps.push_back(r.uniform(0.0, 100.0));
+    return ps;
+}
+
+void
+expectSelectionMatchesSort(const SampleSet &s, Rng &r)
+{
+    for (double p : probePercentiles(r))
+        EXPECT_EQ(s.percentile(p), percentileOf(s.samples(), p))
+            << "p=" << p << " n=" << s.samples().size();
+}
+
+TEST(SampleSetSelection, MatchesSortedPercentileBitwise)
+{
+    Rng r(55);
+    for (std::size_t n : {1u, 2u, 3u, 4096u, 5000u}) {
+        SampleSet s;
+        for (std::size_t i = 0; i < n; ++i)
+            s.add(r.lognormal(5000.0, 1.5));
+        expectSelectionMatchesSort(s, r);
+    }
+}
+
+TEST(SampleSetSelection, MatchesSortedPercentileWithDuplicates)
+{
+    Rng r(56);
+    for (std::size_t n : {2u, 3u, 17u, 1000u}) {
+        SampleSet s;
+        for (std::size_t i = 0; i < n; ++i)
+            s.add(static_cast<double>(r.uniformInt(5)));
+        expectSelectionMatchesSort(s, r);
+    }
+}
+
+TEST(SampleSetSelection, MatchesSortedPercentilePastReservoirCapacity)
+{
+    Rng r(57);
+    SampleSet s(256, 3);
+    for (int i = 0; i < 5000; ++i)
+        s.add(r.exponential(800.0));
+    ASSERT_EQ(s.samples().size(), 256u);
+    expectSelectionMatchesSort(s, r);
+}
+
+TEST(SampleSetSelection, PercentilesEqualsPerPointCalls)
+{
+    Rng r(58);
+    SampleSet s;
+    for (int i = 0; i < 777; ++i)
+        s.add(r.normal(100.0, 30.0));
+    const auto ps = probePercentiles(r);
+    const auto all = s.percentiles(ps);
+    ASSERT_EQ(all.size(), ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        EXPECT_EQ(all[i], s.percentile(ps[i])) << "p=" << ps[i];
+    EXPECT_THROW(SampleSet().percentiles({50.0}), std::logic_error);
+}
+
+TEST(SampleSetSelection, CachedValueInvalidatedByAdd)
+{
+    SampleSet s;
+    for (double v : {3.0, 1.0, 2.0})
+        s.add(v);
+    EXPECT_EQ(s.percentile(100.0), 3.0);
+    s.add(10.0);
+    EXPECT_EQ(s.percentile(100.0), 10.0);
+    s.add(std::vector<double>{20.0, 0.5});
+    EXPECT_EQ(s.percentile(100.0), 20.0);
+}
+
+TEST(SampleSetSelection, CachedValueInvalidatedByMerge)
+{
+    SampleSet s, other;
+    s.add(1.0);
+    s.add(2.0);
+    other.add(50.0);
+    EXPECT_EQ(s.percentile(100.0), 2.0);
+    s.merge(other);
+    EXPECT_EQ(s.percentile(100.0), 50.0);
+}
+
+TEST(SampleSetSelection, CachedValueInvalidatedByReset)
+{
+    SampleSet s;
+    s.add(7.0);
+    EXPECT_EQ(s.percentile(100.0), 7.0);
+    s.reset();
+    EXPECT_THROW(s.percentile(100.0), std::logic_error);
+    s.add(4.0);
+    EXPECT_EQ(s.percentile(100.0), 4.0);
+}
+
+// The bulk add is the sequence of single adds: same retained samples
+// (reservoir draws included), counts and threshold tallies.
+TEST(SampleSetSelection, BulkAddMatchesSingleAdds)
+{
+    Rng r(59);
+    std::vector<double> xs(700);
+    for (double &x : xs)
+        x = r.exponential(100.0);
+    for (std::size_t cap : {0u, 300u, 1000u}) {
+        SampleSet one(cap, 9), bulk(cap, 9);
+        one.trackThreshold(150.0);
+        bulk.trackThreshold(150.0);
+        SampleSet plainOne(cap, 9), plainBulk(cap, 9);
+        for (double x : xs) {
+            one.add(x);
+            plainOne.add(x);
+        }
+        bulk.add(xs);
+        plainBulk.add(std::span<const double>(xs).first(200));
+        plainBulk.add(std::span<const double>(xs).subspan(200));
+        EXPECT_EQ(bulk.samples(), one.samples()) << "cap " << cap;
+        EXPECT_EQ(bulk.count(), one.count());
+        EXPECT_EQ(bulk.fractionAbove(150.0), one.fractionAbove(150.0));
+        EXPECT_EQ(plainBulk.samples(), plainOne.samples()) << "cap " << cap;
+        EXPECT_EQ(plainBulk.count(), plainOne.count());
     }
 }
 

@@ -1,4 +1,4 @@
-/** @file Unit tests for TimeSeries and WindowAggregator. */
+/** @file Unit tests for TimeSeries, WindowAggregator and WindowCounter. */
 
 #include "stats/timeseries.h"
 
@@ -9,6 +9,7 @@ namespace
 
 using ursa::stats::TimeSeries;
 using ursa::stats::WindowAggregator;
+using ursa::stats::WindowCounter;
 
 TEST(TimeSeries, AppendAndRange)
 {
@@ -136,6 +137,51 @@ TEST(WindowAggregator, TimeMovingBackwardsThrows)
     WindowAggregator agg(10);
     agg.add(25, 1.0);
     EXPECT_THROW(agg.add(5, 1.0), std::logic_error);
+}
+
+TEST(WindowCounter, WindowsExistOnlyOnceCountedInto)
+{
+    WindowCounter ctr(10);
+    EXPECT_TRUE(ctr.windows().empty());
+    ctr.add(1);
+    ctr.add(9);
+    ctr.add(35); // windows 10 and 20 stay absent
+    ctr.add(35);
+    ctr.add(39);
+    ASSERT_EQ(ctr.windows().size(), 2u);
+    EXPECT_EQ(ctr.windows()[0].start, 0);
+    EXPECT_EQ(ctr.windows()[0].count, 2u);
+    EXPECT_EQ(ctr.windows()[1].start, 30);
+    EXPECT_EQ(ctr.windows()[1].count, 3u);
+}
+
+TEST(WindowCounter, LastWindowsBeforeSkipsCurrentWindow)
+{
+    WindowCounter ctr(10);
+    for (int t : {0, 10, 11, 30, 40, 41, 42})
+        ctr.add(t);
+    // At t=45 the current window (40) is still filling: it is skipped,
+    // and the absent window 20 is not invented.
+    const auto ws = ctr.lastWindowsBefore(45, 2);
+    ASSERT_EQ(ws.size(), 2u);
+    EXPECT_EQ(ws[0].start, 10);
+    EXPECT_EQ(ws[0].count, 2u);
+    EXPECT_EQ(ws[1].start, 30);
+    EXPECT_EQ(ws[1].count, 1u);
+    // Short history returns what exists, oldest first.
+    const auto all = ctr.lastWindowsBefore(45, 10);
+    ASSERT_EQ(all.size(), 3u);
+    EXPECT_EQ(all[0].start, 0);
+    EXPECT_TRUE(ctr.lastWindowsBefore(5, 3).empty());
+    EXPECT_TRUE(ctr.lastWindowsBefore(45, 0).empty());
+}
+
+TEST(WindowCounter, TimeMovingBackwardsThrows)
+{
+    WindowCounter ctr(10);
+    ctr.add(25);
+    ctr.add(20); // same window: fine
+    EXPECT_THROW(ctr.add(5), std::logic_error);
 }
 
 } // namespace
