@@ -2,16 +2,14 @@
 """CI smoke for the DES kernel bench + the ursa::trace overhead contract.
 
 BENCH_kernel.json is a *trajectory*: one entry per PR that moved the
-kernel, each recording the headline sharded configuration and a
-'single' block for the canonical single-simulation run. This smoke pins
-the working tree against the LATEST trajectory entry:
+kernel, each recording the canonical single-simulation run and the
+machine it was measured on. This smoke pins the working tree against
+the LATEST trajectory entry:
 
-  1. determinism  — a tracer-disabled run reproduces the exact single-
-                    simulation event and request counts of the latest
-                    entry (same app, seed, and simulated span), and the
-                    sharded aggregate counts when the entry is sharded.
-                    Counts are machine-independent, so this check is
-                    bit-exact.
+  1. determinism  — a tracer-disabled run reproduces the exact event
+                    and request counts of the latest entry (same app,
+                    seed, and simulated span). Counts are
+                    machine-independent, so this check is bit-exact.
   2. zero perturbation — a sampling=1.0 run executes the *same* events
                     as the disabled run (tracing observes, never
                     steers);
@@ -21,11 +19,11 @@ the working tree against the LATEST trajectory entry:
                     same machine.
   4. throughput floor — wall-clock throughput is machine-dependent, so
                     the pin is an explicit loose tolerance, not an
-                    equality: the untraced single-run ev/s must reach
-                    at least --tolerance of the latest entry's
-                    single-run ev/s. This catches order-of-magnitude
-                    regressions (a debug build, a broken fast path)
-                    while tolerating slower CI machines.
+                    equality: the untraced ev/s must reach at least
+                    --tolerance of the latest entry's ev/s. This
+                    catches order-of-magnitude regressions (a debug
+                    build, a broken fast path) while tolerating slower
+                    CI machines.
 
 Usage:
   bench_smoke.py --bench build/bench/bench_kernel \
@@ -41,11 +39,10 @@ import sys
 import tempfile
 
 
-def run_bench(bench, sampling, sim_minutes, shards, out_path):
+def run_bench(bench, sampling, sim_minutes, out_path):
     env = dict(os.environ)
     env["URSA_BENCH_REPS"] = "1"
     env["URSA_BENCH_SIM_MIN"] = str(sim_minutes)
-    env["URSA_BENCH_SHARDS"] = str(shards)
     env["URSA_BENCH_OUT"] = out_path
     env["URSA_TRACE_SAMPLING"] = repr(sampling)
     subprocess.run([bench], env=env, check=True,
@@ -63,36 +60,29 @@ def main():
     ap.add_argument("--min-traced-ratio", type=float, default=0.5,
                     help="minimum (traced ev/s) / (untraced ev/s)")
     ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="minimum fraction of the recorded single-run "
-                         "ev/s the untraced run must reach")
+                    help="minimum fraction of the recorded ev/s the "
+                         "untraced run must reach")
     args = ap.parse_args()
 
     with open(args.reference) as f:
         ref = json.load(f)
     latest = ref["trajectory"][-1]
-    single_ref = latest["single"]
     sim_minutes = ref["sim_minutes"]
-    shards = latest.get("shards", 1)
 
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        off = run_bench(args.bench, 0.0, sim_minutes, shards,
+        off = run_bench(args.bench, 0.0, sim_minutes,
                         os.path.join(tmp, "off.json"))
-        on = run_bench(args.bench, 1.0, sim_minutes, shards,
+        on = run_bench(args.bench, 1.0, sim_minutes,
                        os.path.join(tmp, "on.json"))
 
     # 1. Bit-determinism against the latest recorded entry.
     for key in ("events", "requests"):
-        if off[key] != single_ref[key]:
+        if off[key] != latest[key]:
             failures.append(
                 f"tracer-disabled run diverged from the latest entry of "
-                f"{args.reference} ({latest['label']!r}): single {key} "
-                f"{off[key]} != {single_ref[key]}")
-        if shards > 1 and off["sharded"][key] != latest[key]:
-            failures.append(
-                f"sharded run diverged from the latest entry of "
-                f"{args.reference}: {key} {off['sharded'][key]} != "
-                f"{latest[key]}")
+                f"{args.reference} ({latest['label']!r}): {key} "
+                f"{off[key]} != {latest[key]}")
 
     # 2. Tracing must not change what the simulation does.
     for key in ("events", "requests"):
@@ -111,17 +101,17 @@ def main():
             f"full-rate tracing too slow: {ratio:.2f} < "
             f"{args.min_traced_ratio} of untraced throughput")
 
-    # 4. Loose throughput floor against the recorded single-run number.
-    floor = args.tolerance * single_ref["events_per_sec"]
-    print(f"recorded single-run: "
-          f"{single_ref['events_per_sec'] / 1e6:.3f}M ev/s, "
+    # 4. Loose throughput floor against the recorded number.
+    floor = args.tolerance * latest["events_per_sec"]
+    print(f"recorded: {latest['events_per_sec'] / 1e6:.3f}M ev/s "
+          f"({latest['nproc']} cpus, host {latest['host']!r}), "
           f"floor at tolerance {args.tolerance}: {floor / 1e6:.3f}M ev/s")
     if off["events_per_sec"] < floor:
         failures.append(
-            f"single-run throughput collapsed: "
+            f"throughput collapsed: "
             f"{off['events_per_sec'] / 1e6:.3f}M ev/s < {floor / 1e6:.3f}M "
             f"({args.tolerance} of the recorded "
-            f"{single_ref['events_per_sec'] / 1e6:.3f}M)")
+            f"{latest['events_per_sec'] / 1e6:.3f}M)")
 
     if failures:
         for msg in failures:
@@ -129,7 +119,7 @@ def main():
         return 1
     print(f"bench_smoke OK: counts match the latest trajectory entry of "
           f"{args.reference} (events={off['events']}, "
-          f"requests={off['requests']}, shards={shards}), tracing is "
+          f"requests={off['requests']}), tracing is "
           "zero-perturbation and within the overhead bound")
     return 0
 

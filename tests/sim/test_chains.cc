@@ -2,7 +2,8 @@
  * @file
  * Integration tests for multi-tier topologies: nested RPC blocking,
  * event-driven dispatch, message queues with priorities, async request
- * completion, and the backpressure mechanism of paper Sec. III.
+ * completion, the backpressure mechanism of paper Sec. III, and the
+ * per-hop channel delay.
  */
 
 #include "sim/client.h"
@@ -15,10 +16,12 @@ namespace
 
 using namespace ursa::sim;
 
-/** Build an n-tier chain connected by `kind`; returns the cluster. */
+/** Build an n-tier chain connected by `kind`; returns the cluster.
+ * The hops are colocated (zero delay) unless `colocated` is false, in
+ * which case they keep the CallSpec default delay. */
 std::unique_ptr<Cluster>
 makeChain(int tiers, CallKind kind, double computeMs, int threads,
-          double cpu, std::uint64_t seed = 42)
+          double cpu, std::uint64_t seed = 42, bool colocated = true)
 {
     auto c = std::make_unique<Cluster>(seed);
     for (int t = 0; t < tiers; ++t) {
@@ -31,10 +34,14 @@ makeChain(int tiers, CallKind kind, double computeMs, int threads,
         ClassBehavior b;
         b.computeMeanUs = computeMs * 1000.0;
         b.computeCv = 0.1;
-        if (t + 1 < tiers)
-            // Colocated chain: these tests pin exact latency sums of
-            // the compute model, so the hops carry no network delay.
-            b.calls.push_back({"tier" + std::to_string(t + 2), kind, 0});
+        if (t + 1 < tiers) {
+            // Colocated by default: most tests pin exact latency sums
+            // of the compute model, so the hops carry no network delay.
+            CallSpec call{"tier" + std::to_string(t + 2), kind};
+            if (colocated)
+                call.netDelayUs = 0;
+            b.calls.push_back(call);
+        }
         cfg.behaviors[0] = b;
         c->addService(cfg);
     }
@@ -59,6 +66,57 @@ TEST(Chains, NestedRpcLatencyIsSumOfTiers)
     c->run(kSec);
     ASSERT_GT(lat, 0);
     EXPECT_NEAR(toMs(lat), 30.0, 3.0);
+}
+
+TEST(ShardPlan, DefaultDelayIsTheRealisticPerHopFloor)
+{
+    // Unannotated edges get the default floor, not zero: colocated hops
+    // add nothing to the compute sum, while an edge that names no delay
+    // pays kDefaultNetDelayUs once out and once back on each hop.
+    auto syncLatency = [](bool colocated) {
+        auto c = makeChain(3, CallKind::NestedRpc, 10.0, 8, 4.0, 42,
+                           colocated);
+        EXPECT_EQ(c->service("tier1").config().behaviors.at(0)
+                      .calls.at(0).netDelayUs,
+                  colocated ? 0 : kDefaultNetDelayUs);
+        SimTime lat = -1;
+        RequestPtr r = c->submit(0);
+        r->onSyncDone = [&](Request &rr) {
+            lat = rr.syncDoneTime - rr.submitTime;
+        };
+        c->run(kSec);
+        return lat;
+    };
+    const SimTime colocated = syncLatency(true);
+    ASSERT_GT(colocated, 0);
+    EXPECT_NEAR(static_cast<double>(syncLatency(false) - colocated),
+                4.0 * kDefaultNetDelayUs, 0.05 * kDefaultNetDelayUs);
+}
+
+TEST(Chains, SteppedRunMatchesOneRun)
+{
+    // Advancing a cluster by run() in short steps, with latency-bearing
+    // hops in flight across every step edge, must execute exactly the
+    // events of one run() to the same end.
+    struct Run
+    {
+        std::unique_ptr<Cluster> c =
+            makeChain(3, CallKind::NestedRpc, 2.0, 8, 4.0, 7, false);
+        OpenLoopClient client{*c, [](SimTime) { return 400.0; },
+                              fixedMix({1.0}), 12};
+        Run() { client.start(0); }
+    };
+    Run plain, stepped;
+    plain.c->run(10 * kSec);
+    for (SimTime t = kSec / 4; t <= 10 * kSec; t += kSec / 4)
+        stepped.c->run(t);
+
+    EXPECT_EQ(stepped.c->events().now(), 10 * kSec);
+    EXPECT_EQ(stepped.c->events().processed(),
+              plain.c->events().processed());
+    EXPECT_EQ(stepped.c->submitted(), plain.c->submitted());
+    EXPECT_EQ(stepped.c->completed(), plain.c->completed());
+    EXPECT_GT(plain.c->completed(), 3000u);
 }
 
 TEST(Chains, NestedRpcTierLatencyExcludesDownstreamWait)
