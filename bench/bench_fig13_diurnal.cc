@@ -10,6 +10,7 @@
 
 #include "common.h"
 
+#include "core/explorer.h"
 #include "core/manager.h"
 #include "sim/client.h"
 #include "workload/arrival.h"
@@ -28,7 +29,9 @@ main()
                 "and falls back over 80 minutes).\n\n");
 
     const apps::AppSpec app = makeApp(AppId::Social);
-    const auto profile = cachedProfile(app, "social", 2024);
+    const auto profile =
+        core::ExplorationController(paperExploration(2024))
+            .exploreApp(app);
 
     Cluster cluster(99);
     app.instantiate(cluster);

@@ -16,6 +16,7 @@
 
 #include "common.h"
 
+#include "core/explorer.h"
 #include "core/manager.h"
 #include "core/theorem.h"
 #include "sim/client.h"
@@ -67,7 +68,9 @@ main()
                 "under a diurnal load with live scaling.\n\n");
 
     const apps::AppSpec app = makeApp(AppId::Social);
-    const auto profile = cachedProfile(app, "social", 2024);
+    const auto profile =
+        core::ExplorationController(paperExploration(2024))
+            .exploreApp(app);
     const auto slaVisits = core::computeSlaVisitCounts(app);
 
     Cluster cluster(555);

@@ -10,6 +10,7 @@
 
 #include "common.h"
 
+#include "core/explorer.h"
 #include "workload/arrival.h"
 #include "workload/arrival_curve.h"
 #include "workload/generator.h"
@@ -75,13 +76,17 @@ main()
                 scaled.meanRate(), toSec(scaled.duration()) / 60.0,
                 kScale);
 
+    const AppInputs inputs{
+        core::ExplorationController(paperExploration(opts.seed))
+            .exploreApp(app),
+        collectSinanSamples(app, opts.sinanSamples, opts.seed)};
     const System systems[] = {System::Ursa, System::Sinan, System::Firm,
                               System::AutoA, System::AutoB};
     std::printf("%-8s %14s %12s %16s\n", "system", "SLA-viol rate",
                 "CPU cores", "decision us");
     for (const System s : systems) {
         const CellResult r =
-            runTraceCell(s, AppId::Social, scaled, opts);
+            runTraceCell(s, AppId::Social, scaled, inputs, opts);
         std::printf("%-8s %13.1f%% %12.1f %16.1f\n", toString(s),
                     100.0 * r.violationRate, r.cpuCores,
                     r.decisionLatencyUs);

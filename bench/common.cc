@@ -3,26 +3,19 @@
 #include "baselines/autoscaler.h"
 #include "baselines/firm.h"
 #include "core/manager.h"
-#include "core/profile_io.h"
 #include "exec/thread_pool.h"
 #include "sim/client.h"
 #include "workload/arrival.h"
 #include "workload/generator.h"
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <mutex>
-#include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace ursa::bench
 {
 
 namespace
 {
-
-namespace fs = std::filesystem;
 
 /** Make the mix/profile for a (app, load) cell measurement phase. */
 struct CellLoad
@@ -65,20 +58,6 @@ cellLoad(const apps::AppSpec &app, AppId id, LoadKind load,
     return out;
 }
 
-/**
- * One mutex per cache path: concurrent grid cells needing the same
- * cached artifact wait for the first computation instead of racing on
- * the file (std::map keeps each mutex pinned in place).
- */
-std::mutex &
-cachePathMutex(const std::string &path)
-{
-    static std::mutex tableMu;
-    static std::map<std::string, std::mutex> table;
-    std::lock_guard<std::mutex> lock(tableMu);
-    return table[path];
-}
-
 core::ExplorationOptions
 explorationFor(const PerfHarnessOptions &opts)
 {
@@ -119,14 +98,14 @@ struct Deployment
 
 /**
  * Instantiate and prepare one system on an already-instantiated
- * cluster: exploration/training/convergence before the measured
- * window, under the canonical mix. `deployRps`/`deployMix` are the
- * expected load the one-shot planners (Ursa) size for; the measurement
- * client is the caller's.
+ * cluster: deployment from the app's offline `inputs`, training and
+ * convergence before the measured window, under the canonical mix.
+ * `deployRps`/`deployMix` are the expected load the one-shot planners
+ * (Ursa) size for; the measurement client is the caller's.
  */
 Deployment
 prepareSystem(sim::Cluster &cluster, const apps::AppSpec &app,
-              const std::string &tag, System system, double deployRps,
+              const AppInputs &inputs, System system, double deployRps,
               const std::vector<double> &deployMix, std::uint64_t seed,
               const PerfHarnessOptions &opts)
 {
@@ -142,14 +121,12 @@ prepareSystem(sim::Cluster &cluster, const apps::AppSpec &app,
     Deployment dep;
     switch (system) {
       case System::Ursa: {
-        const auto profile = cachedProfile(app, tag, explorationFor(opts));
-        dep.ursa =
-            std::make_unique<core::UrsaManager>(cluster, app, profile);
+        dep.ursa = std::make_unique<core::UrsaManager>(cluster, app,
+                                                       inputs.profile);
         // Thresholds computed once at the start of the experiment
         // (Sec. VII-E), from the expected load of this cell.
         if (!dep.ursa->deploy(deployRps, deployMix))
-            throw std::runtime_error(std::string("Ursa infeasible on ") +
-                                     tag);
+            throw std::runtime_error("Ursa infeasible on " + app.name);
         dep.measureStart = opts.warmup;
         break;
       }
@@ -164,11 +141,9 @@ prepareSystem(sim::Cluster &cluster, const apps::AppSpec &app,
         break;
       }
       case System::Sinan: {
-        const auto samples =
-            cachedSinanSamples(app, tag, opts.sinanSamples, opts.seed);
         const auto cfg = benchSinanConfig(app, opts.seed);
         dep.sinanModel = std::make_unique<baselines::SinanModel>(app, cfg);
-        dep.sinanModel->train(samples);
+        dep.sinanModel->train(inputs.sinanSamples);
         dep.sinanScheduler = std::make_unique<baselines::SinanScheduler>(
             cluster, app, *dep.sinanModel, cfg);
         dep.sinanScheduler->start(0);
@@ -214,16 +189,6 @@ collectResult(const sim::Cluster &cluster, const Deployment &dep,
 
 } // namespace
 
-std::string
-cacheDir()
-{
-    const char *env = std::getenv("URSA_CACHE_DIR");
-    const std::string dir = env ? env : ".ursa_cache";
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    return dir;
-}
-
 core::ExplorationOptions
 paperExploration(std::uint64_t seed)
 {
@@ -237,29 +202,6 @@ paperExploration(std::uint64_t seed)
     return opts;
 }
 
-core::AppProfile
-cachedProfile(const apps::AppSpec &app, const std::string &tag,
-              std::uint64_t seed)
-{
-    return cachedProfile(app, tag, paperExploration(seed));
-}
-
-core::AppProfile
-cachedProfile(const apps::AppSpec &app, const std::string &tag,
-              const core::ExplorationOptions &explore)
-{
-    const std::string path = cacheDir() + "/profile_" + tag + ".txt";
-    std::lock_guard<std::mutex> lock(cachePathMutex(path));
-    bool ok = false;
-    core::AppProfile profile = core::loadAppProfile(path, ok);
-    if (ok && profile.services.size() == app.services.size())
-        return profile;
-    core::ExplorationController explorer(explore);
-    profile = explorer.exploreApp(app);
-    core::saveAppProfile(profile, path);
-    return profile;
-}
-
 baselines::SinanConfig
 benchSinanConfig(const apps::AppSpec &app, std::uint64_t seed)
 {
@@ -271,38 +213,9 @@ benchSinanConfig(const apps::AppSpec &app, std::uint64_t seed)
 }
 
 std::vector<baselines::SinanSample>
-cachedSinanSamples(const apps::AppSpec &app, const std::string &tag,
-                   int count, std::uint64_t seed)
+collectSinanSamples(const apps::AppSpec &app, int count,
+                    std::uint64_t seed)
 {
-    const std::string path = cacheDir() + "/sinan_" + tag + ".txt";
-    std::lock_guard<std::mutex> lock(cachePathMutex(path));
-    // Try the cache.
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::size_t n = 0, fdim = 0, cdim = 0;
-            in >> n >> fdim >> cdim;
-            std::vector<baselines::SinanSample> samples(n);
-            bool good = static_cast<bool>(in);
-            for (auto &s : samples) {
-                s.features.resize(fdim);
-                s.latencyRatios.resize(cdim);
-                int viol = 0;
-                for (double &v : s.features)
-                    in >> v;
-                for (double &v : s.latencyRatios)
-                    in >> v;
-                in >> viol;
-                s.violation = viol != 0;
-                if (!in) {
-                    good = false;
-                    break;
-                }
-            }
-            if (good && n == static_cast<std::size_t>(count))
-                return samples;
-        }
-    }
     // Collect on dedicated clusters under the canonical mix. The
     // collection is sharded into a FIXED number of independent
     // timelines (not a function of the thread count), so the sample
@@ -335,20 +248,6 @@ cachedSinanSamples(const apps::AppSpec &app, const std::string &tag,
     samples.reserve(count);
     for (const auto &part : parts)
         samples.insert(samples.end(), part.begin(), part.end());
-
-    std::ofstream out(path);
-    if (out && !samples.empty()) {
-        out << samples.size() << ' ' << samples.front().features.size()
-            << ' ' << samples.front().latencyRatios.size() << "\n";
-        out.precision(17);
-        for (const auto &s : samples) {
-            for (double v : s.features)
-                out << v << ' ';
-            for (double v : s.latencyRatios)
-                out << v << ' ';
-            out << (s.violation ? 1 : 0) << "\n";
-        }
-    }
     return samples;
 }
 
@@ -435,10 +334,9 @@ skewedMix(const apps::AppSpec &app, AppId id, bool up)
 
 CellResult
 runCell(System system, AppId appId, LoadKind load,
-        const PerfHarnessOptions &opts)
+        const AppInputs &inputs, const PerfHarnessOptions &opts)
 {
     const apps::AppSpec app = makeApp(appId);
-    const std::string tag = toString(appId);
     const std::uint64_t seed =
         opts.seed + 131 * static_cast<int>(system) +
         17 * static_cast<int>(load) + 7 * static_cast<int>(appId);
@@ -449,7 +347,7 @@ runCell(System system, AppId appId, LoadKind load,
     // Prep phase: Ursa sizes its one-shot plan for this cell's mix at
     // the nominal rate.
     const auto deployMix = cellLoad(app, appId, load, 0, opts.measure).mix;
-    const Deployment dep = prepareSystem(cluster, app, tag, system,
+    const Deployment dep = prepareSystem(cluster, app, inputs, system,
                                          app.nominalRps, deployMix,
                                          seed, opts);
 
@@ -467,13 +365,12 @@ runCell(System system, AppId appId, LoadKind load,
 CellResult
 runTraceCell(System system, AppId appId,
              const workload::ArrivalTrace &trace,
-             const PerfHarnessOptions &opts)
+             const AppInputs &inputs, const PerfHarnessOptions &opts)
 {
     if (trace.entries.empty())
         throw std::runtime_error("runTraceCell on an empty trace");
 
     const apps::AppSpec app = makeApp(appId);
-    const std::string tag = toString(appId);
     const std::uint64_t seed = opts.seed +
                                131 * static_cast<int>(system) +
                                7 * static_cast<int>(appId) + 53;
@@ -486,11 +383,11 @@ runTraceCell(System system, AppId appId,
     std::vector<double> mix = trace.classMix();
     if (mix.size() > static_cast<std::size_t>(cluster.numClasses()))
         throw std::runtime_error(
-            std::string("trace uses request classes ") + tag +
+            "trace uses request classes " + app.name +
             " does not define");
     mix.resize(static_cast<std::size_t>(cluster.numClasses()), 0.0);
 
-    const Deployment dep = prepareSystem(cluster, app, tag, system,
+    const Deployment dep = prepareSystem(cluster, app, inputs, system,
                                          trace.meanRate(), mix, seed,
                                          opts);
 
@@ -506,11 +403,6 @@ runTraceCell(System system, AppId appId,
 std::vector<GridRow>
 performanceGrid(const PerfHarnessOptions &opts)
 {
-    const std::string path =
-        cacheDir() + "/perf_grid_" + std::to_string(opts.seed) + "_" +
-        std::to_string(opts.measure / sim::kMin) + ".csv";
-
-    std::vector<GridRow> grid;
     const std::vector<AppId> apps = {AppId::Social, AppId::VanillaSocial,
                                      AppId::Media, AppId::VideoPipeline};
     const std::vector<LoadKind> loads = {
@@ -520,84 +412,40 @@ performanceGrid(const PerfHarnessOptions &opts)
                                          System::Firm, System::AutoA,
                                          System::AutoB};
 
-    // Try the cache.
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::string header;
-            std::getline(in, header);
-            std::string line;
-            while (std::getline(in, line)) {
-                std::istringstream ls(line);
-                GridRow row;
-                int a, l, s;
-                char comma;
-                ls >> a >> comma >> l >> comma >> s >> comma >>
-                    row.result.violationRate >> comma >>
-                    row.result.cpuCores >> comma >>
-                    row.result.decisionLatencyUs;
-                if (!ls)
-                    break;
-                row.app = static_cast<AppId>(a);
-                row.load = static_cast<LoadKind>(l);
-                row.system = static_cast<System>(s);
-                grid.push_back(row);
-            }
-            if (grid.size() == apps.size() * loads.size() * systems.size())
-                return grid;
-            grid.clear();
-        }
-    }
-
-    // Warm the per-app caches first (profile for Ursa, samples for
-    // Sinan) so the grid cells below only read them; each app's two
-    // artifacts are independent units of work.
+    // Each app's offline inputs (profile for Ursa, samples for Sinan),
+    // computed once and shared by its 25 cells; the 8 are independent
+    // units of work.
+    std::vector<AppInputs> inputs(apps.size());
     exec::parallelFor(apps.size() * 2, [&](std::size_t i) {
-        const AppId id = apps[i / 2];
-        const apps::AppSpec app = makeApp(id);
+        const apps::AppSpec app = makeApp(apps[i / 2]);
+        AppInputs &in = inputs[i / 2];
         if (i % 2 == 0)
-            cachedProfile(app, toString(id), explorationFor(opts));
+            in.profile = core::ExplorationController(explorationFor(opts))
+                             .exploreApp(app);
         else
-            cachedSinanSamples(app, toString(id), opts.sinanSamples,
-                               opts.seed);
+            in.sinanSamples =
+                collectSinanSamples(app, opts.sinanSamples, opts.seed);
     });
 
     // The 100 cells are independent simulations; fan them out. Each
     // cell owns its cluster and derives every seed from (system, app,
     // load), so the grid is bit-identical for any thread count.
-    const std::size_t cells =
-        apps.size() * loads.size() * systems.size();
-    grid = exec::parallelMap<GridRow>(cells, [&](std::size_t idx) {
-        const AppId a = apps[idx / (loads.size() * systems.size())];
-        const LoadKind l =
-            loads[idx / systems.size() % loads.size()];
-        const System s = systems[idx % systems.size()];
-        GridRow row;
-        row.app = a;
-        row.load = l;
-        row.system = s;
-        row.result = runCell(s, a, l, opts);
-        std::fprintf(stderr,
-                     "  [grid] %-14s %-9s %-7s viol=%5.1f%% cpu=%6.1f\n",
-                     toString(a), toString(l), toString(s),
-                     100.0 * row.result.violationRate,
-                     row.result.cpuCores);
-        return row;
-    });
-
-    std::ofstream out(path);
-    if (out) {
-        out << "app,load,system,violation,cpu,decision_us\n";
-        out.precision(17);
-        for (const GridRow &row : grid) {
-            out << static_cast<int>(row.app) << ','
-                << static_cast<int>(row.load) << ','
-                << static_cast<int>(row.system) << ','
-                << row.result.violationRate << ',' << row.result.cpuCores
-                << ',' << row.result.decisionLatencyUs << "\n";
-        }
-    }
-    return grid;
+    const std::size_t perApp = loads.size() * systems.size();
+    return exec::parallelMap<GridRow>(
+        apps.size() * perApp, [&](std::size_t idx) {
+            GridRow row;
+            row.app = apps[idx / perApp];
+            row.load = loads[idx / systems.size() % loads.size()];
+            row.system = systems[idx % systems.size()];
+            row.result = runCell(row.system, row.app, row.load,
+                                 inputs[idx / perApp], opts);
+            std::fprintf(
+                stderr, "  [grid] %-14s %-9s %-7s viol=%5.1f%% cpu=%6.1f\n",
+                toString(row.app), toString(row.load),
+                toString(row.system), 100.0 * row.result.violationRate,
+                row.result.cpuCores);
+            return row;
+        });
 }
 
 } // namespace ursa::bench

@@ -1,13 +1,12 @@
 /**
  * @file
  * Shared infrastructure for the reproduction benchmarks: paper-scale
- * exploration settings, on-disk caching of exploration profiles and
- * Sinan training data (so the expensive offline phases run once across
- * bench binaries), the 5-system deployment harness behind Figs. 11-12,
- * and small table-printing helpers.
+ * exploration settings, Sinan training-data collection and the
+ * 5-system deployment harness behind Figs. 11-12.
  *
- * Cache files live under ./.ursa_cache (override with URSA_CACHE_DIR).
- * Delete the directory to force full recomputation.
+ * Each binary computes its offline inputs (exploration profiles, Sinan
+ * samples) in memory and keeps nothing on disk between runs, so every
+ * number it prints comes from the current code.
  */
 
 #ifndef URSA_BENCH_COMMON_H
@@ -20,43 +19,27 @@
 #include "workload/trace.h"
 
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace ursa::bench
 {
 
-/** Directory for cached artifacts (created on demand). */
-std::string cacheDir();
-
 /** Paper-scale exploration settings (1-minute windows, 10 per level). */
 core::ExplorationOptions paperExploration(std::uint64_t seed);
-
-/**
- * Exploration profile for an app, loaded from cache or computed (and
- * cached). `tag` names the cache entry. Thread-safe: concurrent calls
- * for the same tag compute the profile once.
- */
-core::AppProfile cachedProfile(const apps::AppSpec &app,
-                               const std::string &tag, std::uint64_t seed);
-
-/** Same, with explicit exploration settings instead of paper scale. */
-core::AppProfile cachedProfile(const apps::AppSpec &app,
-                               const std::string &tag,
-                               const core::ExplorationOptions &explore);
 
 /** Sinan config used across benches. */
 baselines::SinanConfig benchSinanConfig(const apps::AppSpec &app,
                                         std::uint64_t seed);
 
 /**
- * Sinan training samples for an app (collected on a dedicated cluster
- * under the canonical mix), cached on disk. `count` samples at the
- * config's interval.
+ * Sinan training samples for an app, collected on dedicated clusters
+ * under the canonical mix: `count` samples at the config's interval,
+ * split over 8 fixed shards so the set is identical for any
+ * URSA_THREADS.
  */
 std::vector<baselines::SinanSample>
-cachedSinanSamples(const apps::AppSpec &app, const std::string &tag,
-                   int count, std::uint64_t seed);
+collectSinanSamples(const apps::AppSpec &app, int count,
+                    std::uint64_t seed);
 
 // --- the Fig. 11/12 deployment harness ------------------------------
 
@@ -115,18 +98,30 @@ struct PerfHarnessOptions
     int sinanSamples = 500;
     std::uint64_t seed = 2024;
     /**
-     * Exploration settings behind Ursa's cached profile; unset means
-     * paperExploration(seed). The determinism regression test dials
-     * this down to keep a full grid run cheap.
+     * Exploration settings behind Ursa's profile in performanceGrid;
+     * unset means paperExploration(seed). The determinism regression
+     * test dials this down to keep a full grid run cheap.
      */
     std::optional<core::ExplorationOptions> exploration;
 };
 
 /**
+ * The offline inputs of one app's deployment cells: Ursa's exploration
+ * profile and Sinan's training samples (collectSinanSamples with
+ * opts.sinanSamples). Cells of other systems ignore them.
+ */
+struct AppInputs
+{
+    core::AppProfile profile;
+    std::vector<baselines::SinanSample> sinanSamples;
+};
+
+/**
  * Run one deployment cell. Deterministic per (system, app, load,
- * opts.seed).
+ * inputs, opts.seed).
  */
 CellResult runCell(System system, AppId app, LoadKind load,
+                   const AppInputs &inputs,
                    const PerfHarnessOptions &opts);
 
 /**
@@ -135,18 +130,19 @@ CellResult runCell(System system, AppId app, LoadKind load,
  * measured window; deploy-time thresholds come from the trace's own
  * mean rate and class mix (classes it never exercises get weight 0).
  * Throws if the trace is empty or uses classes the app lacks.
- * Deterministic per (system, app, trace, opts.seed).
+ * Deterministic per (system, app, trace, inputs, opts.seed).
  */
 CellResult runTraceCell(System system, AppId app,
                         const workload::ArrivalTrace &trace,
+                        const AppInputs &inputs,
                         const PerfHarnessOptions &opts);
 
 /**
- * All cells of the Fig. 11/12 grid, cached on disk so the two bench
- * binaries don't re-simulate. Row order: app-major, then load, then
- * system. Cells are independent simulations and run on the ursa::exec
- * pool (URSA_THREADS ways); the result is bit-identical for any
- * thread count.
+ * All cells of the Fig. 11/12 grid. Each app's inputs are computed
+ * once and shared by its 25 cells. Row order: app-major, then load,
+ * then system. Cells are independent simulations and run on the
+ * ursa::exec pool (URSA_THREADS ways); the result is bit-identical for
+ * any thread count.
  */
 struct GridRow
 {

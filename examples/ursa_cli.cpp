@@ -181,6 +181,10 @@ main(int argc, char **argv)
 
     const auto summary = summarize(cluster, warmup, horizon);
     printSummary(summary, std::cout);
+    if (ursaManager)
+        std::fprintf(stderr, "[ursa_cli] solves that hit the B&B node "
+                             "cap: %d\n",
+                     ursaManager->cappedSolves());
 
     if (!opts.csvPrefix.empty()) {
         std::ofstream classes(opts.csvPrefix + "_classes.csv");

@@ -57,6 +57,7 @@ UrsaManager::deploy(double expectedRps, const std::vector<double> &mix)
                            // ursa-lint: allow(wall-clock) control-plane overhead (Table 6)
                            std::chrono::steady_clock::now() - wallStart)
                            .count());
+    cappedSolves_ += plan.hitNodeLimit ? 1 : 0;
     if (!plan.feasible)
         return false;
     installPlan(plan);
@@ -126,6 +127,7 @@ UrsaManager::recalculate()
                            std::chrono::steady_clock::now() - wallStart)
                            .count());
     ++recalcs_;
+    cappedSolves_ += plan.hitNodeLimit ? 1 : 0;
     if (!plan.feasible)
         return false;
     installPlan(plan);

@@ -112,6 +112,13 @@ class UrsaManager
     /** Model recalculations performed. */
     int recalculations() const { return recalcs_; }
 
+    /**
+     * Deploy and recalculate solves whose branch and bound stopped at
+     * OptimizerOptions::maxNodes (ModelOutput::hitNodeLimit): each
+     * returned its best incumbent, or none, without proving it optimal.
+     */
+    int cappedSolves() const { return cappedSolves_; }
+
   private:
     void controlTick();
     void anomalyTick();
@@ -136,6 +143,7 @@ class UrsaManager
     bool ticksScheduled_ = false;
     bool deviationPersists_ = false;
     int recalcs_ = 0;
+    int cappedSolves_ = 0;
 };
 
 } // namespace ursa::core

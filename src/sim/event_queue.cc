@@ -136,30 +136,6 @@ EventQueue::runUntil(SimTime until)
         runUntilCalendar(until);
 }
 
-SimTime
-EventQueue::nextEventTime()
-{
-    if (backend_ == Backend::Heap)
-        return heap_.empty() ? kNoEvent : heap_.front().at;
-    if (count_ == 0)
-        return kNoEvent;
-    // The day run list holds everything below the frontier, so its
-    // front (sorted) is the global minimum when non-empty; otherwise
-    // the first occupied bucket beats every later bucket and the
-    // overflow ladder (all at or beyond the epoch end).
-    if (dayPos_ < day_.size())
-        return day_[dayPos_].at;
-    for (std::size_t c = cursor_; c < buckets_.size(); ++c) {
-        if (buckets_[c].empty())
-            continue;
-        SimTime best = kNoEvent;
-        for (const Key &k : buckets_[c])
-            best = std::min(best, k.at);
-        return best;
-    }
-    return overflow_.empty() ? kNoEvent : minOverflow_;
-}
-
 // --- heap backend -------------------------------------------------------
 
 void

@@ -93,9 +93,6 @@ class EventQueue
     /** Total events executed so far. */
     std::uint64_t processed() const { return processed_; }
 
-    /** Earliest pending event time, or `empty` sentinel (max SimTime). */
-    SimTime nextEventTime();
-
 #if URSA_CHECK_LEVEL >= 1
     /**
      * Violation injection for the check layer's own tests: swap the

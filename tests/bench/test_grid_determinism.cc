@@ -1,8 +1,8 @@
 /**
  * @file
  * Determinism regression for the Fig. 11/12 deployment grid: a full
- * (scaled-down) performanceGrid run must be bit-identical with
- * URSA_THREADS=1 and URSA_THREADS=8, including the on-disk CSV cache.
+ * (scaled-down) performanceGrid run must give bit-identical rows with
+ * URSA_THREADS=1 and URSA_THREADS=8.
  * Every cell owns its cluster and derives all seeds from (system, app,
  * load), so thread scheduling must not leak into results.
  */
@@ -13,11 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <vector>
 
 namespace
 {
@@ -45,68 +41,20 @@ tinyOptions()
     return opts;
 }
 
-std::string
-slurp(const std::string &path)
+/** Run the full grid at `threads` ways. */
+std::vector<GridRow>
+gridRows(int threads)
 {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/**
- * Drop the trailing decision_us column from each CSV line: it is a
- * wall-clock measurement of the host solver (Table 6), not simulation
- * output, so it legitimately varies run to run.
- */
-std::string
-stripDecisionColumn(const std::string &csv)
-{
-    std::istringstream in(csv);
-    std::ostringstream out;
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto cut = line.rfind(',');
-        out << (cut == std::string::npos ? line : line.substr(0, cut))
-            << '\n';
-    }
-    return out.str();
-}
-
-/** Run the full grid in a fresh cache dir; return the CSV cache bytes. */
-std::string
-gridBytes(int threads, const std::string &cacheDir,
-          std::vector<GridRow> &rows)
-{
-    namespace fs = std::filesystem;
-    fs::remove_all(cacheDir);
-    setenv("URSA_CACHE_DIR", cacheDir.c_str(), 1);
     exec::setThreadCount(threads);
-    const PerfHarnessOptions opts = tinyOptions();
-    rows = performanceGrid(opts);
-    const std::string csv =
-        cacheDir + "/perf_grid_" + std::to_string(opts.seed) + "_" +
-        std::to_string(opts.measure / sim::kMin) + ".csv";
-    return slurp(csv);
+    return performanceGrid(tinyOptions());
 }
 
 TEST(GridDeterminism, GridIdenticalAcrossThreadCounts)
 {
-    namespace fs = std::filesystem;
-    const std::string base =
-        fs::temp_directory_path() / "ursa_grid_determinism";
     const int saved = exec::threadCount();
-
-    std::vector<GridRow> serialRows, parallelRows;
-    const std::string serial = gridBytes(1, base + "_t1", serialRows);
-    const std::string parallel = gridBytes(8, base + "_t8", parallelRows);
-
+    const std::vector<GridRow> serialRows = gridRows(1);
+    const std::vector<GridRow> parallelRows = gridRows(8);
     exec::setThreadCount(saved);
-    unsetenv("URSA_CACHE_DIR");
-
-    ASSERT_FALSE(serial.empty());
-    // Byte-identical caches, modulo the wall-clock decision_us column.
-    EXPECT_EQ(stripDecisionColumn(serial), stripDecisionColumn(parallel));
 
     ASSERT_EQ(serialRows.size(), parallelRows.size());
     ASSERT_EQ(serialRows.size(), 100u); // 4 apps x 5 loads x 5 systems
@@ -121,9 +69,6 @@ TEST(GridDeterminism, GridIdenticalAcrossThreadCounts)
         // decisionLatencyUs is deliberately not compared: it times the
         // host's solver wall clock, not the simulation.
     }
-
-    fs::remove_all(base + "_t1");
-    fs::remove_all(base + "_t8");
 }
 
 } // namespace

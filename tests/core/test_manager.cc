@@ -154,6 +154,48 @@ TEST_F(ManagerTest, InfeasibleDeployReturnsFalse)
     EXPECT_FALSE(mgr.deploy(tight.nominalRps, tight.exploreMix));
 }
 
+TEST_F(ManagerTest, CountsSolvesThatHitTheNodeCap)
+{
+    app.instantiate(cluster);
+    UrsaManagerOptions capped = fastManagerOptions();
+    capped.optimizer.maxNodes = 1;
+
+    // One node cannot reach a leaf, so the search stops with no
+    // incumbent: the deploy fails, and the count says why.
+    UrsaManager mgr(cluster, app, sharedProfile(), capped);
+    EXPECT_FALSE(mgr.deploy(app.nominalRps, app.exploreMix));
+    EXPECT_EQ(mgr.cappedSolves(), 1);
+    EXPECT_FALSE(mgr.recalculate());
+    EXPECT_EQ(mgr.cappedSolves(), 2);
+
+    // The solve the manager counted carries the flag.
+    ModelInput input;
+    input.profile = &sharedProfile();
+    for (const auto &cls : app.classes)
+        input.slas.push_back(cls.sla);
+    input.slaVisits = computeSlaVisitCounts(app);
+    const auto visits = computeVisitCounts(app);
+    double total = 0.0;
+    for (double w : app.exploreMix)
+        total += w;
+    input.loads.assign(app.services.size(),
+                       std::vector<double>(app.classes.size(), 0.0));
+    for (std::size_t s = 0; s < app.services.size(); ++s)
+        for (std::size_t c = 0; c < app.classes.size(); ++c)
+            input.loads[s][c] = app.nominalRps * app.exploreMix[c] /
+                                total * visits[s][c];
+    const ModelOutput out = UrsaOptimizer(capped.optimizer).solve(input);
+    EXPECT_TRUE(out.hitNodeLimit);
+    EXPECT_FALSE(out.feasible);
+
+    // The default cap is not reached on this app.
+    UrsaManager uncapped(cluster, app, sharedProfile(),
+                         fastManagerOptions());
+    ASSERT_TRUE(uncapped.deploy(app.nominalRps, app.exploreMix));
+    EXPECT_FALSE(uncapped.plan().hitNodeLimit);
+    EXPECT_EQ(uncapped.cappedSolves(), 0);
+}
+
 TEST_F(ManagerTest, EstimatorTracksMeasuredLatency)
 {
     app.instantiate(cluster);

@@ -179,23 +179,6 @@ TEST(EventQueue, ExplicitBackendSelection)
     EXPECT_EQ(heap.backend(), EventQueue::Backend::Heap);
 }
 
-TEST(EventQueue, NextEventTimeBothBackends)
-{
-    for (const auto backend : {EventQueue::Backend::Calendar,
-                               EventQueue::Backend::Heap}) {
-        EventQueue q(backend);
-        const SimTime empty = q.nextEventTime();
-        q.schedule(500, [] {});
-        q.schedule(40, [] {});
-        EXPECT_EQ(q.nextEventTime(), 40);
-        q.runNext();
-        EXPECT_EQ(q.nextEventTime(), 500);
-        q.runNext();
-        EXPECT_EQ(q.nextEventTime(), empty);
-        EXPECT_GT(empty, 500); // the sentinel orders after any event
-    }
-}
-
 /**
  * Drive one backend through a deterministic pseudo-random op script
  * (bursty schedules, runNext/runUntil mixes, callback-side schedules
