@@ -6,13 +6,11 @@
  * that for every request class the Theorem-1 latency upper bound meets
  * the SLA, minimizing total CPU.
  *
- * Two solvers are provided:
- *  - UrsaOptimizer::solve — exact branch-and-bound over per-service
- *    levels with an inner percentile-split DP per class (the production
- *    path; scales to real topologies);
- *  - lowerToGenericMip — a literal 0/1 ILP encoding solved by
- *    ursa::solver::solveMip (the Gurobi stand-in), used to cross-check
- *    the specialized solver on small instances.
+ * UrsaOptimizer::solve is the one solver: an exact branch-and-bound
+ * over per-service levels with an inner percentile-split DP per class.
+ * It stands in for the paper's Gurobi solve. Its test checks it
+ * against an exhaustive enumeration of every level and grid-percentile
+ * choice on small random instances.
  */
 
 #ifndef URSA_CORE_MIP_MODEL_H
@@ -20,9 +18,8 @@
 
 #include "core/profile.h"
 #include "sim/types.h"
-#include "solver/mip.h"
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 namespace ursa::core
@@ -93,15 +90,6 @@ class UrsaOptimizer
   private:
     OptimizerOptions opts_;
 };
-
-/**
- * Literal 0/1 ILP encoding of MIP 1 (with linearized one-hot products)
- * solved through ursa::solver. Exponentially slower than the
- * specialized solver; intended for small cross-check instances.
- * Visit counts are rounded to >= 1 repeats of the stage.
- */
-ModelOutput solveViaGenericMip(const ModelInput &input,
-                               std::size_t maxNodes = 500000);
 
 } // namespace ursa::core
 

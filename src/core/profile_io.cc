@@ -2,35 +2,16 @@
 
 #include "core/profile.h"
 
-#include <fstream>
 #include <iomanip>
-#include <sstream>
-#include <stdexcept>
+#include <ostream>
 
 namespace ursa::core
 {
 
-namespace
-{
-
-constexpr const char *kMagic = "ursa-profile-v1";
-
-void
-expect(std::istream &in, const std::string &token)
-{
-    std::string got;
-    in >> got;
-    if (got != token)
-        throw std::runtime_error("profile parse error: expected '" +
-                                 token + "', got '" + got + "'");
-}
-
-} // namespace
-
 void
 saveAppProfile(const AppProfile &profile, std::ostream &out)
 {
-    out << kMagic << "\n";
+    out << "ursa-profile-v1\n";
     out << std::setprecision(17);
     out << "grid " << profile.grid.size();
     for (double p : profile.grid)
@@ -61,81 +42,6 @@ saveAppProfile(const AppProfile &profile, std::ostream &out)
                 out << "\n";
             }
         }
-    }
-}
-
-bool
-saveAppProfile(const AppProfile &profile, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    saveAppProfile(profile, out);
-    return static_cast<bool>(out);
-}
-
-AppProfile
-loadAppProfile(std::istream &in)
-{
-    std::string magic;
-    in >> magic;
-    if (magic != kMagic)
-        throw std::runtime_error("not an ursa profile (bad magic)");
-
-    AppProfile profile;
-    expect(in, "grid");
-    std::size_t gridSize = 0;
-    in >> gridSize;
-    profile.grid.resize(gridSize);
-    for (double &p : profile.grid)
-        in >> p;
-
-    expect(in, "services");
-    std::size_t numServices = 0;
-    in >> numServices;
-    profile.services.resize(numServices);
-    for (ServiceProfile &svc : profile.services) {
-        expect(in, "service");
-        std::size_t numLevels = 0, numClasses = 0;
-        in >> svc.serviceName >> svc.cpuPerReplica >> svc.bpThreshold >>
-            svc.samples >> svc.exploreTime >> numLevels >> numClasses;
-        svc.levels.resize(numLevels);
-        for (LprLevel &level : svc.levels) {
-            expect(in, "level");
-            in >> level.replicas >> level.cpuUtilization;
-            level.loadPerReplica.resize(numClasses);
-            for (double &v : level.loadPerReplica)
-                in >> v;
-            level.latency.assign(numClasses, {});
-            for (std::size_t c = 0; c < numClasses; ++c) {
-                expect(in, "lat");
-                std::vector<double> row(profile.grid.size());
-                for (double &v : row)
-                    in >> v;
-                if (!row.empty() && row.front() >= 0.0)
-                    level.latency[c] = std::move(row);
-            }
-        }
-        if (!in)
-            throw std::runtime_error("truncated profile for service " +
-                                     svc.serviceName);
-    }
-    return profile;
-}
-
-AppProfile
-loadAppProfile(const std::string &path, bool &ok)
-{
-    ok = false;
-    std::ifstream in(path);
-    if (!in)
-        return {};
-    try {
-        AppProfile profile = loadAppProfile(in);
-        ok = true;
-        return profile;
-    } catch (const std::exception &) {
-        return {};
     }
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Plain-text serialization of exploration profiles, so the expensive
- * offline exploration runs once and every benchmark binary can reuse
- * its output — mirroring how a production deployment would persist
- * exploration data between controller restarts.
+ * Plain-text printing of exploration profiles, every number at 17
+ * significant digits. Profiles that differ in any one field print
+ * different text, so tests use the text as a byte-exact digest when
+ * comparing explorations (for example across thread counts).
  */
 
 #ifndef URSA_CORE_PROFILE_IO_H
@@ -12,28 +12,15 @@
 #include "core/profile.h"
 
 #include <iosfwd>
-#include <string>
 
 namespace ursa::core
 {
 
-/** Serialize a profile (versioned, human-readable). */
+/**
+ * Print every field of a profile (versioned, human-readable). An
+ * unhandled class's empty latency row prints as -1 entries.
+ */
 void saveAppProfile(const AppProfile &profile, std::ostream &out);
-
-/** Save to a file path; returns false on I/O failure. */
-bool saveAppProfile(const AppProfile &profile, const std::string &path);
-
-/**
- * Parse a profile written by saveAppProfile.
- * @throws std::runtime_error on malformed input.
- */
-AppProfile loadAppProfile(std::istream &in);
-
-/**
- * Load from a file path.
- * @param ok Set to whether the file existed and parsed.
- */
-AppProfile loadAppProfile(const std::string &path, bool &ok);
 
 } // namespace ursa::core
 

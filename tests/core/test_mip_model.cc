@@ -2,9 +2,11 @@
  * @file
  * Tests of the Ursa optimization model: replica arithmetic, optimal
  * level selection on synthetic profiles, infeasibility, SLA-tightness
- * monotonicity, and cross-checking the specialized branch-and-bound
- * against the generic 0/1 ILP lowering solved by the simplex-based
- * MIP solver (the Gurobi stand-in).
+ * monotonicity, and a property test that checks the branch-and-bound
+ * (with Theorem 1's percentile split, and with the even-split
+ * ablation) against an exhaustive oracle. The oracle enumerates every
+ * level per service and every grid percentile per latency stage, and
+ * does not use the percentile-split DP.
  */
 
 #include "core/mip_model.h"
@@ -13,11 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 namespace
 {
 
 using namespace ursa::core;
 using ursa::sim::fromMs;
+using ursa::sim::SimTime;
 using ursa::sim::SlaSpec;
 using ursa::stats::Rng;
 
@@ -186,30 +193,225 @@ TEST(Optimizer, ServicesWithoutLevelsAreSkipped)
     EXPECT_EQ(out.replicas[1], 0);
 }
 
-// Cross-check: specialized solver == generic 0/1 ILP on small random
-// instances (the DESIGN.md equivalence claim).
-TEST(OptimizerProperty, MatchesGenericMipLowering)
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/**
+ * A random instance with heterogeneous services: 1-4 services, each
+ * with its own CPU per replica, 0-4 levels whose latencies are not
+ * monotone in the level but increase along the grid, and its own
+ * subset of the 1-2 classes; SLA visit counts 0-2 and a p90, p99 or
+ * p99.9 SLA per class. Fills `prof`, which the returned input points to.
+ */
+ModelInput
+randomInstance(Rng &rng, AppProfile &prof)
+{
+    static const PercentileGrid kGrids[] = {
+        {99.0, 99.9}, {99.0, 99.5, 99.9}, {90.0, 95.0, 99.0, 99.9}};
+    prof = AppProfile{};
+    prof.grid = kGrids[rng.uniformInt(3)];
+    const int numClasses = 1 + static_cast<int>(rng.uniformInt(2));
+    const int numServices = 1 + static_cast<int>(rng.uniformInt(4));
+
+    ModelInput in;
+    in.profile = &prof;
+    // p99.9 leaves a residual share below the grid's last step once a
+    // class has two stages, which is where the even split fails.
+    static const double kSlaPercentiles[] = {90.0, 99.0, 99.9};
+    for (int c = 0; c < numClasses; ++c)
+        in.slas.push_back(
+            {kSlaPercentiles[rng.uniformInt(3)],
+             static_cast<SimTime>(rng.uniform(300.0, 5000.0))});
+    for (int s = 0; s < numServices; ++s) {
+        ServiceProfile svc;
+        svc.serviceName = "svc" + std::to_string(s);
+        svc.cpuPerReplica = rng.uniform(0.5, 4.0);
+        std::vector<bool> handles(numClasses);
+        for (int c = 0; c < numClasses; ++c)
+            handles[c] = rng.uniform() < 0.7;
+        const int numLevels = static_cast<int>(rng.uniformInt(5));
+        for (int l = 0; l < numLevels; ++l) {
+            LprLevel level;
+            level.loadPerReplica.assign(numClasses, 0.0);
+            level.latency.assign(numClasses, {});
+            for (int c = 0; c < numClasses; ++c) {
+                if (!handles[c])
+                    continue;
+                level.loadPerReplica[c] = rng.uniform(5.0, 50.0);
+                double lat = rng.uniform(100.0, 1500.0);
+                for (std::size_t g = 0; g < prof.grid.size(); ++g) {
+                    level.latency[c].push_back(lat);
+                    lat += rng.uniform(0.0, 800.0);
+                }
+            }
+            svc.levels.push_back(level);
+        }
+        prof.services.push_back(svc);
+
+        std::vector<double> loads(numClasses, 0.0);
+        std::vector<double> visits(numClasses, 0.0);
+        for (int c = 0; c < numClasses; ++c) {
+            if (handles[c])
+                loads[c] = rng.uniform(0.0, 200.0);
+            visits[c] = static_cast<double>(rng.uniformInt(3));
+        }
+        in.loads.push_back(loads);
+        in.slaVisits.push_back(visits);
+    }
+    return in;
+}
+
+/**
+ * Cheapest latency sum over every choice of grid percentile for
+ * stages k.. whose residuals fit in `budget`; +inf when none fits.
+ */
+double
+cheapestSplit(const std::vector<const std::vector<double> *> &stages,
+              const PercentileGrid &grid, std::size_t k, double budget,
+              double latency)
+{
+    if (budget < -1e-9)
+        return kInf;
+    if (k == stages.size())
+        return latency;
+    double best = kInf;
+    for (std::size_t g = 0; g < grid.size(); ++g)
+        best = std::min(best, cheapestSplit(stages, grid, k + 1,
+                                            budget - (100.0 - grid[g]),
+                                            latency + (*stages[k])[g]));
+    return best;
+}
+
+/**
+ * Latency bound per class at fixed levels: the cheapest residual-
+ * feasible split (or, with `evenSplit`, every stage at the largest
+ * grid percentile within an even share of the residual); +inf when no
+ * split fits. Classes are independent once the levels are fixed.
+ */
+std::vector<double>
+classBounds(const ModelInput &in, const std::vector<int> &level,
+            bool evenSplit)
+{
+    const AppProfile &prof = *in.profile;
+    std::vector<double> bounds(in.slas.size(), 0.0);
+    for (std::size_t c = 0; c < in.slas.size(); ++c) {
+        std::vector<const std::vector<double> *> stages;
+        for (std::size_t s = 0; s < prof.services.size(); ++s) {
+            if (level[s] < 0 ||
+                !prof.services[s].handlesClass(static_cast<int>(c)))
+                continue;
+            const auto &row = prof.services[s].levels[level[s]].latency[c];
+            for (long r = 0; r < std::lround(in.slaVisits[s][c]); ++r)
+                stages.push_back(&row);
+        }
+        if (stages.empty())
+            continue;
+        const double budget = 100.0 - in.slas[c].percentile;
+        if (!evenSplit) {
+            bounds[c] = cheapestSplit(stages, prof.grid, 0, budget, 0.0);
+            continue;
+        }
+        const double share = budget / static_cast<double>(stages.size());
+        int gidx = -1;
+        for (std::size_t g = 0; g < prof.grid.size(); ++g)
+            if (100.0 - prof.grid[g] <= share + 1e-9)
+                gidx = static_cast<int>(g);
+        if (gidx < 0) {
+            bounds[c] = kInf;
+            continue;
+        }
+        for (const auto *row : stages)
+            bounds[c] += (*row)[gidx];
+    }
+    return bounds;
+}
+
+/** CPU cores of a level choice at the instance's loads. */
+double
+cpuAt(const ModelInput &in, const std::vector<int> &level)
+{
+    double cpu = 0.0;
+    for (std::size_t s = 0; s < level.size(); ++s) {
+        const ServiceProfile &svc = in.profile->services[s];
+        if (level[s] >= 0)
+            cpu += svc.cpuPerReplica *
+                   UrsaOptimizer::replicasNeeded(svc, level[s], in.loads[s]);
+    }
+    return cpu;
+}
+
+/**
+ * The exhaustive oracle: the cheapest CPU total over every level
+ * choice whose class bounds all meet their SLA targets; +inf when no
+ * choice does.
+ */
+double
+exhaustiveCpu(const ModelInput &in, bool evenSplit)
+{
+    const auto &services = in.profile->services;
+    std::vector<int> level(services.size(), -1);
+    for (std::size_t s = 0; s < services.size(); ++s)
+        if (!services[s].levels.empty())
+            level[s] = 0;
+    double best = kInf;
+    for (;;) {
+        const std::vector<double> bounds = classBounds(in, level, evenSplit);
+        bool feasible = true;
+        for (std::size_t c = 0; c < in.slas.size(); ++c)
+            feasible = feasible &&
+                       bounds[c] <= static_cast<double>(in.slas[c].targetUs);
+        if (feasible)
+            best = std::min(best, cpuAt(in, level));
+        // Advance the odometer over the services that have levels.
+        std::size_t s = 0;
+        for (; s < services.size(); ++s) {
+            if (level[s] < 0)
+                continue;
+            if (++level[s] < static_cast<int>(services[s].levels.size()))
+                break;
+            level[s] = 0;
+        }
+        if (s == services.size())
+            return best;
+    }
+}
+
+// The specialized solver agrees with the exhaustive oracle on random
+// heterogeneous instances, with Theorem 1's split and with the even
+// split: same feasibility, same optimal CPU, and the returned levels'
+// class bounds are the cheapest splits at those levels.
+TEST(OptimizerProperty, MatchesExhaustiveOracle)
 {
     Rng rng(99);
-    for (int trial = 0; trial < 12; ++trial) {
-        const int services = 1 + static_cast<int>(rng.uniformInt(2));
-        const int levels = 2 + static_cast<int>(rng.uniformInt(2));
-        const auto prof = syntheticProfile(
-            services, levels, 1, rng.uniform(5.0, 20.0),
-            rng.uniform(300.0, 1500.0), rng.uniform(0.2, 1.0),
-            {99.0, 99.9});
-        const double load = rng.uniform(20.0, 150.0);
-        const double target = rng.uniform(1.0, 12.0);
-        const auto in = inputFor(prof, load, target);
-
-        const auto fast = UrsaOptimizer().solve(in);
-        const auto exact = solveViaGenericMip(in);
-        ASSERT_EQ(fast.feasible, exact.feasible)
-            << "trial " << trial << " target " << target;
-        if (fast.feasible) {
-            EXPECT_NEAR(fast.totalCpuCores, exact.totalCpuCores, 1e-6)
-                << "trial " << trial;
+    int feasible[2] = {0, 0};
+    int infeasible[2] = {0, 0};
+    for (int trial = 0; trial < 400; ++trial) {
+        AppProfile prof;
+        const ModelInput in = randomInstance(rng, prof);
+        for (bool even : {false, true}) {
+            SCOPED_TRACE("trial " + std::to_string(trial) +
+                         (even ? " even split" : " theorem split"));
+            OptimizerOptions opts;
+            opts.evenSplit = even;
+            const ModelOutput out = UrsaOptimizer(opts).solve(in);
+            const double best = exhaustiveCpu(in, even);
+            ASSERT_EQ(out.feasible, std::isfinite(best));
+            ++(out.feasible ? feasible : infeasible)[even];
+            if (!out.feasible)
+                continue;
+            EXPECT_NEAR(out.totalCpuCores, best, 1e-9);
+            EXPECT_NEAR(cpuAt(in, out.level), best, 1e-9);
+            const std::vector<double> bounds =
+                classBounds(in, out.level, even);
+            for (std::size_t c = 0; c < in.slas.size(); ++c) {
+                EXPECT_NEAR(out.upperBoundUs[c], bounds[c], 1e-6);
+                EXPECT_LE(bounds[c],
+                          static_cast<double>(in.slas[c].targetUs));
+            }
         }
+    }
+    for (int even : {0, 1}) {
+        EXPECT_GT(feasible[even], 0) << "evenSplit " << even;
+        EXPECT_GT(infeasible[even], 0) << "evenSplit " << even;
     }
 }
 

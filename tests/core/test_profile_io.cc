@@ -1,10 +1,17 @@
-/** @file Round-trip tests for profile serialization. */
+/**
+ * @file Tests of profile printing: the text is a byte-exact digest,
+ * so a change to any single field must change it.
+ */
 
 #include "core/profile_io.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace
 {
@@ -45,58 +52,71 @@ sampleProfile()
     return prof;
 }
 
-TEST(ProfileIo, RoundTripPreservesEverything)
+std::string
+printed(const AppProfile &profile)
 {
-    const AppProfile orig = sampleProfile();
-    std::stringstream ss;
-    saveAppProfile(orig, ss);
-    const AppProfile back = loadAppProfile(ss);
-
-    ASSERT_EQ(back.grid, orig.grid);
-    ASSERT_EQ(back.services.size(), orig.services.size());
-    const auto &sa = back.services[0];
-    EXPECT_EQ(sa.serviceName, "alpha");
-    EXPECT_DOUBLE_EQ(sa.cpuPerReplica, 2.0);
-    EXPECT_DOUBLE_EQ(sa.bpThreshold, 0.55);
-    EXPECT_EQ(sa.samples, 40);
-    EXPECT_EQ(sa.exploreTime, 123456789);
-    ASSERT_EQ(sa.levels.size(), 2u);
-    EXPECT_EQ(sa.levels[0].replicas, 4);
-    EXPECT_DOUBLE_EQ(sa.levels[1].cpuUtilization, 0.42);
-    EXPECT_EQ(sa.levels[0].latency[0],
-              (std::vector<double>{100.0, 220.0, 480.0}));
-    EXPECT_TRUE(sa.levels[0].latency[1].empty());
-    EXPECT_TRUE(back.services[1].levels.empty());
+    std::ostringstream out;
+    saveAppProfile(profile, out);
+    return out.str();
 }
 
-TEST(ProfileIo, RejectsBadMagic)
+/** The next double above `v`: a change only 17 digits can show. */
+void
+bump(double &v)
 {
-    std::stringstream ss("not-a-profile 1 2 3");
-    EXPECT_THROW(loadAppProfile(ss), std::runtime_error);
+    v = std::nextafter(v, HUGE_VAL);
 }
 
-TEST(ProfileIo, RejectsTruncated)
+TEST(ProfileIo, AnySingleFieldChangeChangesTheText)
 {
-    const AppProfile orig = sampleProfile();
-    std::stringstream ss;
-    saveAppProfile(orig, ss);
-    std::string text = ss.str();
-    text.resize(text.size() / 2);
-    std::stringstream cut(text);
-    EXPECT_THROW(loadAppProfile(cut), std::runtime_error);
-}
+    const std::string base = printed(sampleProfile());
+    EXPECT_EQ(printed(sampleProfile()), base);
 
-TEST(ProfileIo, FileHelpers)
-{
-    const std::string path = "/tmp/ursa_profile_io_test.txt";
-    const AppProfile orig = sampleProfile();
-    ASSERT_TRUE(saveAppProfile(orig, path));
-    bool ok = false;
-    const AppProfile back = loadAppProfile(path, ok);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(back.services.size(), 2u);
-    loadAppProfile("/nonexistent/nope.txt", ok);
-    EXPECT_FALSE(ok);
+    const std::vector<std::pair<std::string, std::function<void(AppProfile &)>>>
+        edits = {
+            {"grid point", [](AppProfile &p) { bump(p.grid[1]); }},
+            {"grid size", [](AppProfile &p) { p.grid.push_back(99.99); }},
+            {"service count",
+             [](AppProfile &p) { p.services.pop_back(); }},
+            {"name",
+             [](AppProfile &p) { p.services[0].serviceName = "alphb"; }},
+            {"cpu per replica",
+             [](AppProfile &p) { bump(p.services[0].cpuPerReplica); }},
+            {"bp threshold",
+             [](AppProfile &p) { bump(p.services[0].bpThreshold); }},
+            {"samples", [](AppProfile &p) { ++p.services[1].samples; }},
+            {"explore time",
+             [](AppProfile &p) { ++p.services[0].exploreTime; }},
+            {"level count",
+             [](AppProfile &p) { p.services[0].levels.pop_back(); }},
+            {"level replicas",
+             [](AppProfile &p) { ++p.services[0].levels[1].replicas; }},
+            {"cpu utilization",
+             [](AppProfile &p) {
+                 bump(p.services[0].levels[0].cpuUtilization);
+             }},
+            {"load per replica",
+             [](AppProfile &p) {
+                 bump(p.services[0].levels[1].loadPerReplica[0]);
+             }},
+            {"unhandled class load",
+             [](AppProfile &p) {
+                 bump(p.services[0].levels[0].loadPerReplica[1]);
+             }},
+            {"latency",
+             [](AppProfile &p) {
+                 bump(p.services[0].levels[1].latency[0][2]);
+             }},
+            {"unhandled class latency",
+             [](AppProfile &p) {
+                 p.services[0].levels[0].latency[1] = {1.0, 2.0, 3.0};
+             }},
+        };
+    for (const auto &[field, edit] : edits) {
+        AppProfile changed = sampleProfile();
+        edit(changed);
+        EXPECT_NE(printed(changed), base) << field;
+    }
 }
 
 } // namespace
